@@ -1135,51 +1135,10 @@ let run_sharded_rounds ~(seed : int) ~(rounds : int) ~(label : string) :
     ignore (Director.step ~timeout:0. dir)
   in
   (* a pump-aware admin connection for the fleet-wide control frames *)
-  let afd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect afd (Unix.ADDR_UNIX dpath);
-  Unix.set_nonblock afd;
-  let abuf = Buffer.create 1024 and aoff = ref 0 in
-  let admin_send f =
-    let payload = Wire.encode (Wire.Client f) in
-    let len = String.length payload in
-    let off = ref 0 in
-    while !off < len do
-      match Unix.write_substring afd payload !off (len - !off) with
-      | k -> off := !off + k
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          pump ()
-    done
-  in
-  let achunk = Bytes.create 65536 in
-  let rec admin_recv () =
-    let data = Buffer.contents abuf in
-    match Wire.decode ~off:!aoff data with
-    | Wire.Frame (Wire.Host f, k) ->
-        aoff := !aoff + k;
-        if !aoff = String.length data then begin
-          Buffer.clear abuf;
-          aoff := 0
-        end;
-        f
-    | Wire.Frame (Wire.Client _, _) ->
-        failwith "client-tagged frame from the director"
-    | Wire.Corrupt m -> failwith ("corrupt director reply: " ^ m)
-    | Wire.Need_more ->
-        pump ();
-        (match Unix.read afd achunk 0 (Bytes.length achunk) with
-        | 0 -> failwith "director closed the admin connection"
-        | k -> Buffer.add_subbytes abuf achunk 0 k
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-            ());
-        admin_recv ()
-  in
+  let admin = Live_net.Conn.connect dpath in
   let admin_rpc f =
-    admin_send f;
-    admin_recv ()
+    Live_net.Conn.rpc ~pump admin (Wire.Client f) (fun () ->
+        Live_net.Conn.next admin)
   in
   let rngs = Array.init !sessions (fun s -> Prng.create (Prng.derive seed s)) in
   let gen ~slot ~round:_ = to_wire_event (gen_event rngs.(slot)) in
@@ -1331,7 +1290,7 @@ let run_sharded_rounds ~(seed : int) ~(rounds : int) ~(label : string) :
       dr_excl = (fun f -> f ());
       dr_shutdown =
         (fun () ->
-          (try Unix.close afd with Unix.Unix_error _ -> ());
+          Live_net.Conn.close admin;
           Director.stop dir;
           Array.iter Server.stop shard_srvs;
           Array.iter

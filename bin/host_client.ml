@@ -17,6 +17,7 @@
     sends a single [Stats] frame and prints the host's metrics dump. *)
 
 module Wire = Live_net.Wire
+module Conn = Live_net.Conn
 module Prng = Live_core.Prng
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
@@ -167,61 +168,25 @@ let serve () =
     s.Live_net.Server.resumes;
   exit 0
 
-(* ---- a raw admin connection -------------------------------------- *)
+(* ---- an admin connection ---------------------------------------- *)
 
 (* Blocking request/reply over a side connection that owns no sessions,
    so the only frames it ever sees are replies to its own requests.
    Works identically against a [serve] host and a [director]. *)
 
-type admin = { afd : Unix.file_descr; abuf : Buffer.t; mutable aoff : int }
-
 let admin_connect path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
-   with Unix.Unix_error (e, _, _) ->
-     die "host_client: cannot connect to %s: %s" path (Unix.error_message e));
-  { afd = fd; abuf = Buffer.create 1024; aoff = 0 }
+  try Conn.connect path
+  with Unix.Unix_error (e, _, _) ->
+    die "host_client: cannot connect to %s: %s" path (Unix.error_message e)
 
-let admin_send (a : admin) (f : Wire.client_frame) : unit =
-  let payload = Wire.encode (Wire.Client f) in
-  let len = String.length payload in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write_substring a.afd payload !off (len - !off) with
-    | n -> off := !off + n
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done
+let admin_rpc a (f : Wire.client_frame) : Wire.host_frame =
+  try Conn.rpc a (Wire.Client f) (fun () -> Conn.next a)
+  with Conn.Failed m -> die "host_client: %s" m
 
-let admin_chunk = Bytes.create 65536
-
-let rec admin_recv (a : admin) : Wire.host_frame =
-  let data = Buffer.contents a.abuf in
-  match Wire.decode ~off:a.aoff data with
-  | Wire.Frame (Wire.Host f, consumed) ->
-      a.aoff <- a.aoff + consumed;
-      if a.aoff = String.length data then begin
-        Buffer.clear a.abuf;
-        a.aoff <- 0
-      end;
-      f
-  | Wire.Frame (Wire.Client _, _) ->
-      die "host_client: host sent a client frame"
-  | Wire.Corrupt m -> die "host_client: corrupt reply: %s" m
-  | Wire.Need_more -> (
-      match Unix.read a.afd admin_chunk 0 (Bytes.length admin_chunk) with
-      | 0 -> die "host_client: host closed the connection"
-      | k ->
-          Buffer.add_subbytes a.abuf admin_chunk 0 k;
-          admin_recv a
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> admin_recv a)
-
-let admin_rpc a f =
-  admin_send a f;
-  admin_recv a
-
-let admin_close (a : admin) : unit =
-  admin_send a Wire.Bye;
-  try Unix.close a.afd with Unix.Unix_error _ -> ()
+let admin_close a =
+  Conn.send a (Wire.Client Wire.Bye);
+  (try Conn.push a with Conn.Failed _ -> ());
+  Conn.close a
 
 (* ---- load -------------------------------------------------------- *)
 
@@ -277,7 +242,7 @@ let shadow_digest () =
   done;
   R.digest reg
 
-let observed_digest (a : admin) : string =
+let observed_digest (a : Conn.t) : string =
   match admin_rpc a Wire.Observe with
   | Wire.Observed { sessions = obs } ->
       let b = Buffer.create 4096 in
@@ -392,33 +357,12 @@ let load () =
 
 let stats () =
   require_socket ();
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX !socket)
-   with Unix.Unix_error (e, _, _) ->
-     die "host_client: cannot connect to %s: %s" !socket (Unix.error_message e));
-  let payload = Wire.encode (Wire.Client Wire.Stats) in
-  let n = Unix.write_substring fd payload 0 (String.length payload) in
-  if n <> String.length payload then die "host_client: short write";
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec read_frame () =
-    match Wire.decode (Buffer.contents buf) with
-    | Wire.Frame (f, _) -> f
-    | Wire.Corrupt m -> die "host_client: corrupt reply: %s" m
-    | Wire.Need_more ->
-        let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-        if k = 0 then die "host_client: host closed the connection";
-        Buffer.add_subbytes buf chunk 0 k;
-        read_frame ()
-  in
-  (match read_frame () with
-  | Wire.Host (Wire.Metrics { text }) -> print_string text
-  | Wire.Host (Wire.Error { code; msg }) ->
-      die "host_client: host error %d: %s" code msg
+  let a = admin_connect !socket in
+  (match admin_rpc a Wire.Stats with
+  | Wire.Metrics { text } -> print_string text
+  | Wire.Error { code; msg } -> die "host_client: host error %d: %s" code msg
   | _ -> die "host_client: unexpected reply to Stats");
-  let bye = Wire.encode (Wire.Client Wire.Bye) in
-  ignore (Unix.write_substring fd bye 0 (String.length bye));
-  Unix.close fd;
+  admin_close a;
   exit 0
 
 (* ---- director ---------------------------------------------------- *)

@@ -692,6 +692,7 @@ let host_director_config ~(width : int) (boot : Program.t) :
   let module Director = Live_net.Director in
   let module Wire = Live_net.Wire in
   let module Snapshot = Live_net.Snapshot in
+  let module Conn = Live_net.Conn in
   incr director_instances;
   let sock i =
     Filename.concat
@@ -722,66 +723,14 @@ let host_director_config ~(width : int) (boot : Program.t) :
     pump_shards ();
     ignore (Director.step ~timeout:0. dir)
   in
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX (sock 99));
-  Unix.set_nonblock fd;
+  let conn = Conn.connect (sock 99) in
   let finalize () =
-    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Conn.close conn;
     Director.stop dir;
     Array.iter Server.stop shards
   in
-  let inbuf = Buffer.create 1024 and boff = ref 0 in
-  let chunk = Bytes.create 65536 in
-  let send (f : Wire.client_frame) : unit =
-    let bytes = Wire.encode (Wire.Client f) in
-    let len = String.length bytes in
-    let o = ref 0 in
-    while !o < len do
-      match Unix.write_substring fd bytes !o (len - !o) with
-      | n -> o := !o + n
-      | exception
-          Unix.Unix_error
-            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          pump ()
-    done
-  in
-  (* one decode attempt; pumps the fleet and reads the socket when no
-     complete frame is buffered *)
-  let try_recv () : Wire.host_frame option =
-    let data = Buffer.contents inbuf in
-    match Wire.decode ~off:!boff data with
-    | Wire.Frame (Wire.Host f, consumed) ->
-        boff := !boff + consumed;
-        if !boff = String.length data then begin
-          Buffer.clear inbuf;
-          boff := 0
-        end;
-        Some f
-    | Wire.Frame (Wire.Client _, _) ->
-        failwith "host-director: client-tagged frame from the director"
-    | Wire.Corrupt m -> failwith ("host-director: corrupt stream: " ^ m)
-    | Wire.Need_more ->
-        pump ();
-        (match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> failwith "host-director: director closed the connection"
-        | n -> Buffer.add_subbytes inbuf chunk 0 n
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-            ());
-        None
-  in
-  let recv () : Wire.host_frame =
-    let deadline = Unix.gettimeofday () +. 30. in
-    let rec loop () =
-      match try_recv () with
-      | Some f -> f
-      | None ->
-          if Unix.gettimeofday () > deadline then
-            failwith "host-director: no reply within 30s"
-          else loop ()
-    in
-    loop ()
+  let rpc (f : Wire.client_frame) : Wire.host_frame =
+    Conn.rpc ~pump conn (Wire.Client f) (fun () -> Conn.next conn)
   in
   (* consume repaint deltas already in flight (an UPDATE marks the
      fleet dirty) so a later reply-wait cannot be satisfied by a stale
@@ -790,13 +739,15 @@ let host_director_config ~(width : int) (boot : Program.t) :
   let drain () =
     let idle = ref 0 in
     while !idle < 5 do
-      match try_recv () with
+      match Conn.next conn with
       | Some (Wire.Delta _) -> idle := 0
       | Some f ->
           failwith
             ("host-director: unexpected frame while draining: "
             ^ Fmt.to_to_string Wire.pp (Wire.Host f))
-      | None -> incr idle
+      | None ->
+          ignore (Conn.poll ~pump [ conn ] 0.);
+          incr idle
     done
   in
   let find_session () : Session.t =
@@ -819,7 +770,7 @@ let host_director_config ~(width : int) (boot : Program.t) :
         (h + mt.Host_metrics.taps_hit, m + mt.Host_metrics.taps_missed))
       (0, 0) shards
   in
-  match send (Wire.Hello { client = "oracle"; sessions = 1 }); recv () with
+  match rpc (Wire.Hello { client = "oracle"; sessions = 1 }) with
   | exception e ->
       finalize ();
       Error ("host-director: " ^ Printexc.to_string e)
@@ -829,8 +780,7 @@ let host_director_config ~(width : int) (boot : Program.t) :
   | Wire.Attach { session = g; _ } ->
       let deliver (ev : Wire.event) : (string, string) result =
         let h0, m0 = taps () in
-        send (Wire.Event { session = g; ev });
-        match recv () with
+        match rpc (Wire.Event { session = g; ev }) with
         | Wire.Delta _ ->
             let h1, m1 = taps () in
             if h1 > h0 then Ok "tapped"
@@ -843,8 +793,7 @@ let host_director_config ~(width : int) (boot : Program.t) :
               ^ Fmt.to_to_string Wire.pp (Wire.Host f))
       in
       let update (code : Program.t) : (string, string) result =
-        send (Wire.Update { program = Snapshot.program_to_string code });
-        match recv () with
+        match rpc (Wire.Update { program = Snapshot.program_to_string code }) with
         | Wire.Ack _ ->
             drain ();
             Ok "updated"
@@ -882,8 +831,7 @@ let host_director_config ~(width : int) (boot : Program.t) :
               ^ Fmt.to_to_string Wire.pp (Wire.Host f))
       in
       let rebalance () : (unit, string) result =
-        send (Wire.Rebalance { count = 1 });
-        match recv () with
+        match rpc (Wire.Rebalance { count = 1 }) with
         | Wire.Ack _ ->
             drain ();
             Ok ()

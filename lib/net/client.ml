@@ -1,8 +1,8 @@
 (** Lockstep load client (see the interface).  Everything is driven
-    from one thread: nonblocking sockets, a poll loop that interleaves
-    the caller's [pump] (the in-process server's [step]) with reads,
-    and an internal exception for the fatal paths that {!run} catches
-    into a [result]. *)
+    from one thread: {!Conn}s whose waits interleave the caller's
+    [pump] (the in-process server's [step]) with reads, and an internal
+    exception for the fatal paths that {!run} catches into a
+    [result]. *)
 
 module Host_metrics = Live_host.Host_metrics
 
@@ -11,10 +11,7 @@ exception Fail of string
 let fail fmt = Printf.ksprintf (fun m -> raise (Fail m)) fmt
 
 type cstate = {
-  fd : Unix.file_descr;
-  mutable up : bool;  (** connected — only these fds are selectable *)
-  inbuf : Buffer.t;
-  mutable in_off : int;  (** decode offset into [inbuf] *)
+  conn : Conn.t;
   (* session id -> slot, for every slot currently homed on this
      connection *)
   slots : (int, int) Hashtbl.t;
@@ -43,6 +40,7 @@ type report = {
 
 type st = {
   conns : cstate array;
+  links : Conn.t list;  (** [conns]' connections *)
   pump : unit -> unit;
   window : int;  (** max in-flight events per slot *)
   slot_conn : int array;  (** slot -> connection index *)
@@ -56,8 +54,6 @@ type st = {
   latency : Host_metrics.histogram;
   mutable events_sent : int;
   mutable rejected : int;
-  mutable bytes_in : int;
-  mutable bytes_out : int;
   mutable frames_in : int;
   mutable frames_out : int;
   mutable delta_rows : int;
@@ -70,48 +66,14 @@ type st = {
   mutable metrics_cell : string option;
 }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
-(* ------------------------------------------------------------------ *)
-(* I/O                                                                 *)
-(* ------------------------------------------------------------------ *)
-
+(* Frames go out at once: an event's latency clock starts when it is
+   written, not when a round's worth has been staged. *)
 let send_all (t : st) (c : cstate) (frame : Wire.frame) : unit =
-  let bytes = Wire.encode frame in
-  let len = String.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write_substring c.fd bytes !off (len - !off) with
-    | n ->
-        off := !off + n;
-        t.bytes_out <- t.bytes_out + n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        (* the server isn't reading yet: give it the thread *)
-        t.pump ();
-        (try ignore (Unix.select [] [ c.fd ] [] 0.01)
-         with Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-        fail "write: %s" (Unix.error_message e)
-  done;
+  Conn.send c.conn frame;
+  Conn.push ~pump:t.pump c.conn;
   t.frames_out <- t.frames_out + 1
-
-let read_chunk = Bytes.create 65536
-
-let read_available (t : st) (c : cstate) : unit =
-  let rec go () =
-    match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
-    | 0 -> fail "server closed the connection"
-    | n ->
-        t.bytes_in <- t.bytes_in + n;
-        Buffer.add_subbytes c.inbuf read_chunk 0 n;
-        if n = Bytes.length read_chunk then go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (e, _, _) ->
-        fail "read: %s" (Unix.error_message e)
-  in
-  go ()
 
 (* ------------------------------------------------------------------ *)
 (* Frame dispatch                                                      *)
@@ -174,63 +136,34 @@ let handle_host_frame (t : st) (ci : int) (f : Wire.host_frame) : unit =
   | Wire.Ack { info } -> fail "unexpected Ack %S" info
   | Wire.Observed _ -> fail "unexpected Observed"
 
-let dispatch (t : st) (ci : int) : unit =
-  let c = t.conns.(ci) in
-  let data = Buffer.contents c.inbuf in
-  let len = String.length data in
-  let continue = ref true in
-  while !continue && c.in_off < len do
-    match Wire.decode ~off:c.in_off data with
-    | Wire.Frame (Wire.Host f, consumed) ->
-        c.in_off <- c.in_off + consumed;
-        t.frames_in <- t.frames_in + 1;
-        handle_host_frame t ci f
-    | Wire.Frame (Wire.Client _, _) -> fail "client-tagged frame from the host"
-    | Wire.Need_more -> continue := false
-    | Wire.Corrupt m -> fail "corrupt frame from the host: %s" m
-  done;
-  if c.in_off > 0 && c.in_off = Buffer.length c.inbuf then begin
-    Buffer.clear c.inbuf;
-    c.in_off <- 0
-  end
+let dispatch_all (t : st) : unit =
+  Array.iteri
+    (fun ci c ->
+      match
+        Conn.frames c.conn (function
+          | Wire.Host f ->
+              t.frames_in <- t.frames_in + 1;
+              handle_host_frame t ci f;
+              true
+          | Wire.Client _ -> fail "client-tagged frame from the host")
+      with
+      | Some m -> fail "corrupt frame from the host: %s" m
+      | None -> ())
+    t.conns
 
-(* One poll iteration: pump the in-process server, then read whatever
-   arrived.  Returns whether any bytes came in. *)
+(* One poll iteration: pump the in-process server, then read and
+   dispatch whatever arrived.  Returns whether any bytes came in. *)
 let poll (t : st) : bool =
-  t.pump ();
-  let fds =
-    Array.to_list t.conns
-    |> List.filter_map (fun c -> if c.up then Some c.fd else None)
-  in
-  if fds = [] then false
-  else
-  match
-    (try Unix.select fds [] [] 0.001
-     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], []))
-  with
-  | [], _, _ -> false
-  | readable, _, _ ->
-      List.iter
-        (fun fd ->
-          Array.iteri
-            (fun ci c ->
-              if c.fd = fd then begin
-                read_available t c;
-                dispatch t ci
-              end)
-            t.conns)
-        readable;
-      true
+  let got = Conn.poll ~pump:t.pump t.links 0.001 in
+  dispatch_all t;
+  got
 
 let poll_until (t : st) ~(what : string) (done_ : unit -> bool) : unit =
-  let spins = ref 0 in
-  while not (done_ ()) do
-    if not (poll t) then begin
-      incr spins;
-      if !spins > 30_000 then fail "timed out waiting for %s" what
-    end
-    else spins := 0
-  done
+  try
+    Conn.await ~pump:t.pump t.links (fun () ->
+        dispatch_all t;
+        if done_ () then Some () else None)
+  with Conn.Failed m -> fail "%s (waiting for %s)" m what
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
@@ -243,60 +176,46 @@ let run ~socket ~conns ~sessions ~rounds ~gen ?(window = 1)
   else if sessions < conns then Error "sessions must be >= conns"
   else if window < 1 then Error "window must be >= 1"
   else begin
-    (* a host hanging up mid-write must surface as EPIPE (→ [Error]),
-       not kill the client process *)
-    if Sys.os_type = "Unix" then
-      Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let t =
-      {
-        conns =
-          Array.init conns (fun _ ->
-              {
-                fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0;
-                up = false;
-                inbuf = Buffer.create 4096;
-                in_off = 0;
-                slots = Hashtbl.create 8;
-                attach_q = Queue.create ();
-              });
-        pump;
-        window;
-        slot_conn = Array.make sessions 0;
-        slot_id = Array.make sessions (-1);
-        slot_frame = Array.make sessions [||];
-        slot_sent_at = Array.init sessions (fun _ -> Queue.create ());
-        slot_inflight = Array.make sessions 0;
-        latency = Host_metrics.histogram ();
-        events_sent = 0;
-        rejected = 0;
-        bytes_in = 0;
-        bytes_out = 0;
-        frames_in = 0;
-        frames_out = 0;
-        delta_rows = 0;
-        full_rows = 0;
-        detaches = 0;
-        resumes = 0;
-        expect_detached = None;
-        metrics_cell = None;
-      }
-    in
-    let close_all () =
-      Array.iter
-        (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        t.conns
-    in
+    let opened = ref [] in
+    let close_all () = List.iter Conn.close !opened in
     match
+      let cs =
+        Array.init conns (fun _ ->
+            pump ();
+            let conn = Conn.connect socket in
+            opened := conn :: !opened;
+            { conn; slots = Hashtbl.create 8; attach_q = Queue.create () })
+      in
+      let t =
+        {
+          conns = cs;
+          links = Array.to_list (Array.map (fun c -> c.conn) cs);
+          pump;
+          window;
+          slot_conn = Array.make sessions 0;
+          slot_id = Array.make sessions (-1);
+          slot_frame = Array.make sessions [||];
+          slot_sent_at = Array.init sessions (fun _ -> Queue.create ());
+          slot_inflight = Array.make sessions 0;
+          latency = Host_metrics.histogram ();
+          events_sent = 0;
+          rejected = 0;
+          frames_in = 0;
+          frames_out = 0;
+          delta_rows = 0;
+          full_rows = 0;
+          detaches = 0;
+          resumes = 0;
+          expect_detached = None;
+          metrics_cell = None;
+        }
+      in
       (* Slot layout: contiguous blocks, connection by connection. *)
       let base = sessions / conns and extra = sessions mod conns in
       let slot = ref 0 in
       let block ci = base + if ci < extra then 1 else 0 in
       Array.iteri
         (fun ci c ->
-          pump ();
-          Unix.connect c.fd (Unix.ADDR_UNIX socket);
-          Unix.set_nonblock c.fd;
-          c.up <- true;
           let k = block ci in
           let first = !slot in
           for s = first to first + k - 1 do
@@ -373,29 +292,30 @@ let run ~socket ~conns ~sessions ~rounds ~gen ?(window = 1)
         send_all t t.conns.(0) (Wire.Client Wire.Stats);
         poll_until t ~what:"Metrics" (fun () -> t.metrics_cell <> None)
       end;
-      Array.iter (fun c -> send_all t c (Wire.Client Wire.Bye)) t.conns
+      Array.iter (fun c -> send_all t c (Wire.Client Wire.Bye)) t.conns;
+      let total f = List.fold_left (fun n c -> n + f c) 0 t.links in
+      {
+        rounds;
+        events_sent = t.events_sent;
+        rejected = t.rejected;
+        latency = t.latency;
+        bytes_in = total Conn.bytes_in;
+        bytes_out = total Conn.bytes_out;
+        frames_in = t.frames_in;
+        frames_out = t.frames_out;
+        delta_rows = t.delta_rows;
+        full_rows = t.full_rows;
+        detaches = t.detaches;
+        resumes = t.resumes;
+        session_ids = Array.to_list t.slot_id;
+        frames = t.slot_frame;
+        metrics = t.metrics_cell;
+      }
     with
-    | () ->
+    | report ->
         close_all ();
-        Ok
-          {
-            rounds;
-            events_sent = t.events_sent;
-            rejected = t.rejected;
-            latency = t.latency;
-            bytes_in = t.bytes_in;
-            bytes_out = t.bytes_out;
-            frames_in = t.frames_in;
-            frames_out = t.frames_out;
-            delta_rows = t.delta_rows;
-            full_rows = t.full_rows;
-            detaches = t.detaches;
-            resumes = t.resumes;
-            session_ids = Array.to_list t.slot_id;
-            frames = t.slot_frame;
-            metrics = t.metrics_cell;
-          }
-    | exception Fail m ->
+        Ok report
+    | exception (Fail m | Conn.Failed m) ->
         close_all ();
         Error m
     | exception Unix.Unix_error (e, fn, _) ->

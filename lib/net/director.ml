@@ -1,12 +1,12 @@
 (** The shard director (see the interface).  Single-threaded and
-    [select]-based like {!Server}: client connections and shard
-    connections are nonblocking, with staged egress — every frame bound
-    for a peer during one select round lands in that peer's staging
-    buffer and flushes as a single write.  A control frame
-    ([Detach]/[Resume]/[Prepare]/...) turns the shard conversation
-    briefly synchronous — the director writes the request through and
-    pumps frames off the shard until the reply arrives, routing any
-    unrelated [Delta] traffic to its owner on the way.
+    [select]-based like {!Server}: client and shard connections are
+    {!Conn}s with staged egress — every frame bound for a peer during
+    one select round lands in that peer's staging buffer and flushes
+    as a single write.  A control frame ([Detach]/[Resume]/[Prepare]/...)
+    turns the shard conversation briefly synchronous ({!Conn.rpc}):
+    the director writes the request through and pumps frames off the
+    shard until the reply arrives, routing any unrelated [Delta]
+    traffic to its owner on the way.
 
     The data plane is copy-free: a shard's [Delta] and a client's
     [Event] are relayed as raw bytes with only the session-id field
@@ -34,33 +34,9 @@ let fatal fmt = Printf.ksprintf (fun m -> raise (Fatal m)) fmt
 type shard = {
   sx : int;
   endpoint : string;
-  sfd : Unix.file_descr;
-  s_in : Buffer.t;
-  mutable s_off : int;  (** decode offset into [s_in] *)
-  mutable s_out_pending : string;
-      (** the write in flight; bytes before [s_out_off] are sent *)
-  mutable s_out_off : int;
-  s_out_staging : Buffer.t;  (** frames staged since the last promote *)
-  s_scratch : Buffer.t;  (** body scratch for {!Wire.encode_into} *)
+  conn : Conn.t;
   locals : (int, int) Hashtbl.t;  (** shard-local id -> global id *)
 }
-
-type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  mutable out_pending : string;
-  mutable out_off : int;
-  out_staging : Buffer.t;
-  scratch : Buffer.t;
-  mutable closing : bool;
-}
-
-let shard_has_output (sh : shard) : bool =
-  String.length sh.s_out_pending > sh.s_out_off
-  || Buffer.length sh.s_out_staging > 0
-
-let conn_has_output (c : conn) : bool =
-  String.length c.out_pending > c.out_off || Buffer.length c.out_staging > 0
 
 type placement = {
   mutable p_shard : int;  (** index into [shards] *)
@@ -71,9 +47,8 @@ type placement = {
 
 type t = {
   shards : shard array;
-  listen_fd : Unix.file_descr;
-  path : string;
-  conns : (Unix.file_descr, conn) Hashtbl.t;
+  listener : Conn.listener;
+  conns : (Unix.file_descr, Conn.t) Hashtbl.t;  (** client connections *)
   sessions : (int, placement) Hashtbl.t;  (** global id -> placement *)
   mutable next_global : int;
   mutable next_txn : int;
@@ -124,59 +99,24 @@ let place (t : t) (g : int) : int =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let connect_shard ~(timeout : float) (sx : int) (endpoint : string) : shard =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec attempt () =
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX endpoint) with
-    | () ->
-        Unix.set_nonblock fd;
-        fd
-    | exception Unix.Unix_error (e, _, _) when Unix.gettimeofday () < deadline
-      ->
-        Unix.close fd;
-        ignore e;
-        Unix.sleepf 0.05;
-        attempt ()
-    | exception e ->
-        Unix.close fd;
-        raise e
-  in
-  {
-    sx;
-    endpoint;
-    sfd = attempt ();
-    s_in = Buffer.create 4096;
-    s_off = 0;
-    s_out_pending = "";
-    s_out_off = 0;
-    s_out_staging = Buffer.create 4096;
-    s_scratch = Buffer.create 256;
-    locals = Hashtbl.create 64;
-  }
-
 let create ?(pump = fun () -> ()) ?(connect_timeout = 10.) ~socket
     ~(shards : string list) () : t =
   if shards = [] then invalid_arg "Director.create: no shards";
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let shards =
     Array.of_list
-      (List.mapi (fun sx ep -> connect_shard ~timeout:connect_timeout sx ep)
+      (List.mapi
+         (fun sx endpoint ->
+           {
+             sx;
+             endpoint;
+             conn = Conn.connect ~timeout:connect_timeout endpoint;
+             locals = Hashtbl.create 64;
+           })
          shards)
   in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock fd;
-  (try
-     Unix.bind fd (Unix.ADDR_UNIX socket);
-     Unix.listen fd 64
-   with e ->
-     Unix.close fd;
-     raise e);
   {
     shards;
-    listen_fd = fd;
-    path = socket;
+    listener = Conn.listen socket;
     conns = Hashtbl.create 16;
     sessions = Hashtbl.create 256;
     next_global = 0;
@@ -199,101 +139,48 @@ let create ?(pump = fun () -> ()) ?(connect_timeout = 10.) ~socket
 (* Client-side plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
-let send_client (t : t) (c : conn) (f : Wire.frame) : unit =
-  Wire.encode_into ~scratch:c.scratch c.out_staging f;
+let send_client (t : t) (c : Conn.t) (f : Wire.frame) : unit =
+  Conn.send c f;
   t.d_frames_out <- t.d_frames_out + 1
 
 let error t c code msg = send_client t c (Wire.Host (Wire.Error { code; msg }))
 
-let violation (t : t) (c : conn) (msg : string) : unit =
+let violation (t : t) (c : Conn.t) (msg : string) : unit =
   t.d_corrupt <- t.d_corrupt + 1;
   error t c 1 msg;
-  c.closing <- true
+  Conn.close_after_flush c
 
-let disown (t : t) (c : conn) : unit =
+let disown (t : t) (c : Conn.t) : unit =
   Hashtbl.iter
-    (fun _ p -> if p.p_owner = Some c.fd then p.p_owner <- None)
+    (fun _ p -> if p.p_owner = Some (Conn.fd c) then p.p_owner <- None)
     t.sessions
 
-let drop_conn (t : t) (c : conn) : unit =
+let drop_conn (t : t) (c : Conn.t) : unit =
   disown t c;
-  Hashtbl.remove t.conns c.fd;
-  try Unix.close c.fd with Unix.Unix_error _ -> ()
+  Hashtbl.remove t.conns (Conn.fd c);
+  Conn.close c
 
 (* ------------------------------------------------------------------ *)
 (* Shard-side plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let send_shard (t : t) (sh : shard) (f : Wire.client_frame) : unit =
-  Wire.encode_into ~scratch:sh.s_scratch sh.s_out_staging (Wire.Client f);
+  Conn.send sh.conn (Wire.Client f);
   t.d_frames_out <- t.d_frames_out + 1
 
-(* Write as much of the staged shard egress as the socket takes right
-   now: when the in-flight write completes, the whole staging buffer
-   (every frame relayed this round) becomes the next write. *)
-let flush_shard_once (sh : shard) : unit =
-  let continue = ref true in
-  while !continue do
-    let remaining = String.length sh.s_out_pending - sh.s_out_off in
-    if remaining = 0 then
-      if Buffer.length sh.s_out_staging = 0 then continue := false
-      else begin
-        sh.s_out_pending <- Buffer.contents sh.s_out_staging;
-        Buffer.clear sh.s_out_staging;
-        sh.s_out_off <- 0
-      end
-    else
-      match
-        Unix.write_substring sh.sfd sh.s_out_pending sh.s_out_off remaining
-      with
-      | n ->
-          sh.s_out_off <- sh.s_out_off + n;
-          if n < remaining then continue := false
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (e, _, _) ->
-          fatal "shard %s: write: %s" sh.endpoint (Unix.error_message e)
-  done
-
-(* Block (pumping the harness) until the shard egress is fully on the
-   wire — the request half of a synchronous control exchange. *)
-let flush_shard (t : t) (sh : shard) : unit =
-  while shard_has_output sh do
-    flush_shard_once sh;
-    if shard_has_output sh then begin
-      t.pump ();
-      match Unix.select [] [ sh.sfd ] [] 0.01 with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    end
-  done
-
-let shard_read_chunk = Bytes.create 65536
-
-(* Pull whatever the shard socket holds into its decode buffer. *)
-let read_shard (sh : shard) : unit =
-  let rec go () =
-    match Unix.read sh.sfd shard_read_chunk 0 (Bytes.length shard_read_chunk) with
-    | 0 -> fatal "shard %s: connection closed" sh.endpoint
-    | n ->
-        Buffer.add_subbytes sh.s_in shard_read_chunk 0 n;
-        if n = Bytes.length shard_read_chunk then go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error (e, _, _) ->
-        fatal "shard %s: read: %s" sh.endpoint (Unix.error_message e)
-  in
-  go ()
+(* Every shard socket error — a hang-up, a failed read or write, a
+   reply that never comes — is fatal. *)
+let shard_io (sh : shard) (f : unit -> 'a) : 'a =
+  try f () with Conn.Failed m -> fatal "shard %s: %s" sh.endpoint m
 
 let leading_int (msg : string) : int option =
   int_of_string_opt (List.hd (String.split_on_char ' ' msg))
 
-let owner_conn (t : t) (g : int) : conn option =
+let owner_conn (t : t) (g : int) : Conn.t option =
   match Hashtbl.find_opt t.sessions g with
   | Some { p_owner = Some fd; _ } -> (
       match Hashtbl.find_opt t.conns fd with
-      | Some c when not c.closing -> Some c
+      | Some c when not (Conn.closing c) -> Some c
       | _ -> None)
   | _ -> None
 
@@ -308,25 +195,16 @@ let route_raw_delta (t : t) (sh : shard) (data : string) (r : Wire.raw) : unit
   | Some g -> (
       match owner_conn t g with
       | Some c ->
-          Wire.relay_rewrite c.out_staging data r ~session:g;
+          Conn.relay c data r ~session:g;
           t.d_frames_out <- t.d_frames_out + 1
       | None -> ())
 
 (* An asynchronous decoded shard frame (one that is not the reply a
-   control exchange is waiting for): session traffic, translated
-   local -> global and routed to the owning client.  [Delta]s normally
-   take {!route_raw_delta} instead and only land here as a fallback. *)
+   control exchange is waiting for): a backpressure rejection, rewritten
+   local -> global for the owning client.  [Delta]s never land here:
+   {!drain_shard_frames} relays every one raw. *)
 let route_shard_frame (t : t) (sh : shard) (f : Wire.host_frame) : unit =
   match f with
-  | Wire.Delta { session = local; height; acks; rows } -> (
-      match Hashtbl.find_opt sh.locals local with
-      | None -> () (* session migrated away mid-flight; stale delta *)
-      | Some g -> (
-          match owner_conn t g with
-          | Some c ->
-              send_client t c
-                (Wire.Host (Wire.Delta { session = g; height; acks; rows }))
-          | None -> ()))
   | Wire.Error { code = 2; msg } -> (
       (* backpressure rejection: the message leads with the shard-local
          session id; rewrite it to the global id for the owner *)
@@ -350,48 +228,31 @@ let route_shard_frame (t : t) (sh : shard) (f : Wire.host_frame) : unit =
       fatal "shard %s: unexpected frame %s" sh.endpoint
         (Fmt.to_to_string Wire.pp (Wire.Host f))
 
-(* Process every complete frame currently buffered from the shard in
-   one pass over the buffer ([Buffer.contents] once per call, not once
-   per frame).  [Delta]s take the raw fast path; anything else is
-   decoded and — when [stop] is given — offered to it first: a [Some]
-   verdict ends the pass (the reply of a control exchange), a [None]
-   routes the frame as ordinary traffic. *)
+(* One decode pass over the frames buffered from the shard.  [Delta]s
+   take the raw fast path; anything else is decoded and — when [stop]
+   is given — offered to it first: a [Some] verdict ends the pass (the
+   reply of a control exchange), a [None] routes the frame as ordinary
+   traffic. *)
 let drain_shard_frames (t : t) (sh : shard) ?stop () =
-  let data = Buffer.contents sh.s_in in
-  let len = String.length data in
   let result = ref None in
-  let continue = ref true in
-  while !continue && !result = None && sh.s_off < len do
-    match Wire.peek ~off:sh.s_off data with
-    | Wire.Raw_need_more -> continue := false
-    | Wire.Raw_corrupt m -> fatal "shard %s: corrupt stream: %s" sh.endpoint m
-    | Wire.Raw r when r.Wire.r_tag = 0x82 ->
-        route_raw_delta t sh data r;
-        sh.s_off <- sh.s_off + r.Wire.r_total
-    | Wire.Raw _ -> (
-        match Wire.decode ~off:sh.s_off data with
-        | Wire.Frame (Wire.Host f, consumed) -> (
-            sh.s_off <- sh.s_off + consumed;
-            match stop with
-            | Some matcher -> (
-                match matcher f with
-                | Some v -> result := Some v
-                | None -> route_shard_frame t sh f)
-            | None -> route_shard_frame t sh f)
-        | Wire.Frame (Wire.Client _, _) ->
-            fatal "shard %s: client-tagged frame" sh.endpoint
-        | Wire.Need_more -> continue := false
-        | Wire.Corrupt m -> fatal "shard %s: corrupt stream: %s" sh.endpoint m)
-  done;
-  if sh.s_off > 0 then begin
-    if sh.s_off = len then Buffer.clear sh.s_in
-    else begin
-      let rest = String.sub data sh.s_off (len - sh.s_off) in
-      Buffer.clear sh.s_in;
-      Buffer.add_string sh.s_in rest
-    end;
-    sh.s_off <- 0
-  end;
+  let raw data (r : Wire.raw) =
+    r.Wire.r_tag = 0x82
+    && begin
+         route_raw_delta t sh data r;
+         true
+       end
+  in
+  let decoded = function
+    | Wire.Client _ -> fatal "shard %s: client-tagged frame" sh.endpoint
+    | Wire.Host f ->
+        (match Option.bind stop (fun matcher -> matcher f) with
+        | Some v -> result := Some v
+        | None -> route_shard_frame t sh f);
+        !result = None
+  in
+  (match Conn.frames ~raw sh.conn decoded with
+  | Some m -> fatal "shard %s: corrupt stream: %s" sh.endpoint m
+  | None -> ());
   !result
 
 (* Synchronous control exchange: send [req], then pump frames off this
@@ -401,63 +262,28 @@ let drain_shard_frames (t : t) (sh : shard) ?stop () =
    replies; [Delta]s never reach it (raw fast path). *)
 let rpc (t : t) (sh : shard) (req : Wire.client_frame)
     (matcher : Wire.host_frame -> 'a option) : 'a =
-  send_shard t sh req;
-  flush_shard t sh;
-  let result = ref (drain_shard_frames t sh ~stop:matcher ()) in
-  let deadline = Unix.gettimeofday () +. 60. in
-  while !result = None do
-    if Unix.gettimeofday () > deadline then
-      fatal "shard %s: no reply within 60s" sh.endpoint;
-    t.pump ();
-    (match Unix.select [ sh.sfd ] [] [] 0.001 with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    read_shard sh;
-    result := drain_shard_frames t sh ~stop:matcher ()
-  done;
-  Option.get !result
+  t.d_frames_out <- t.d_frames_out + 1;
+  shard_io sh (fun () ->
+      Conn.rpc ~pump:t.pump sh.conn (Wire.Client req) (fun () ->
+          drain_shard_frames t sh ~stop:matcher ()))
 
 (* Fleet-wide sweep: the same request to {e every} shard up front, then
-   gather the replies as they land — the sweep costs one round-trip
-   wall-clock instead of one per shard, which is what makes fleet
-   observation scale when the shards are real processes answering in
-   parallel. *)
+   gather the replies — the sweep costs one round-trip wall-clock
+   instead of one per shard, which is what makes fleet observation
+   scale when the shards are real processes answering in parallel. *)
 let broadcast_rpc (t : t) (req : Wire.client_frame)
     (matcher : shard -> Wire.host_frame -> 'a option) : 'a array =
   Array.iter
     (fun sh ->
       send_shard t sh req;
-      flush_shard t sh)
+      shard_io sh (fun () -> Conn.push ~pump:t.pump sh.conn))
     t.shards;
-  let results = Array.map (fun _ -> None) t.shards in
-  let missing () = Array.exists Option.is_none results in
-  let gather () =
-    Array.iteri
-      (fun i sh ->
-        if results.(i) = None then
-          match drain_shard_frames t sh ~stop:(matcher sh) () with
-          | Some r -> results.(i) <- Some r
-          | None -> ())
-      t.shards
-  in
-  gather ();
-  let deadline = Unix.gettimeofday () +. 60. in
-  while missing () do
-    if Unix.gettimeofday () > deadline then
-      fatal "shards: no sweep reply within 60s";
-    t.pump ();
-    let fds =
-      Array.to_list t.shards
-      |> List.filter_map (fun sh ->
-             if results.(sh.sx) = None then Some sh.sfd else None)
-    in
-    (match Unix.select fds [] [] 0.001 with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-    Array.iteri (fun i sh -> if results.(i) = None then read_shard sh) t.shards;
-    gather ()
-  done;
-  Array.map Option.get results
+  Array.map
+    (fun sh ->
+      shard_io sh (fun () ->
+          Conn.await ~pump:t.pump [ sh.conn ] (fun () ->
+              drain_shard_frames t sh ~stop:(matcher sh) ())))
+    t.shards
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide observation                                              *)
@@ -727,7 +553,7 @@ let aggregated_metrics (t : t) : string =
 (* Client frame handling                                               *)
 (* ------------------------------------------------------------------ *)
 
-let spawn_one (t : t) (c : conn) (client : string) : unit =
+let spawn_one (t : t) (c : Conn.t) (client : string) : unit =
   let g = t.next_global in
   let sh = t.shards.(place t g) in
   let reply =
@@ -742,10 +568,10 @@ let spawn_one (t : t) (c : conn) (client : string) : unit =
       t.next_global <- g + 1;
       Hashtbl.replace sh.locals local g;
       Hashtbl.replace t.sessions g
-        { p_shard = sh.sx; p_local = local; p_owner = Some c.fd };
+        { p_shard = sh.sx; p_local = local; p_owner = Some (Conn.fd c) };
       send_client t c (Wire.Host (Wire.Attach { session = g; width; frame }))
 
-let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
+let handle_client_frame (t : t) (c : Conn.t) (f : Wire.client_frame) : unit =
   match f with
   | Wire.Hello { client; sessions } ->
       if sessions < 1 then violation t c "Hello: sessions must be >= 1"
@@ -753,17 +579,13 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
         for _ = 1 to sessions do
           spawn_one t c client
         done
-  | Wire.Event { session = g; ev } -> (
-      (* fallback for events the raw fast path declined; staged, and
-         flushed with the rest of the round's shard egress *)
-      match Hashtbl.find_opt t.sessions g with
-      | Some p when p.p_owner = Some c.fd ->
-          let sh = t.shards.(p.p_shard) in
-          send_shard t sh (Wire.Event { session = p.p_local; ev })
-      | _ -> error t c 5 (string_of_int g))
+  | Wire.Event _ ->
+      (* {!try_fast_event} takes every Event the decoder accepts
+         ({!Wire.event_payload_ok} agrees with {!Wire.decode}) *)
+      assert false
   | Wire.Detach { session = g } -> (
       match Hashtbl.find_opt t.sessions g with
-      | Some p when p.p_owner = Some c.fd ->
+      | Some p when p.p_owner = Some (Conn.fd c) ->
           let sh = t.shards.(p.p_shard) in
           let snapshot =
             rpc t sh (Wire.Detach { session = p.p_local }) (function
@@ -793,7 +615,7 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
           t.next_global <- g + 1;
           Hashtbl.replace sh.locals local g;
           Hashtbl.replace t.sessions g
-            { p_shard = sh.sx; p_local = local; p_owner = Some c.fd };
+            { p_shard = sh.sx; p_local = local; p_owner = Some (Conn.fd c) };
           send_client t c
             (Wire.Host (Wire.Attach { session = g; width; frame })))
   | Wire.Stats ->
@@ -820,7 +642,7 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
       violation t c "shard transaction frame at the director"
   | Wire.Bye ->
       disown t c;
-      c.closing <- true
+      Conn.close_after_flush c
 
 (* ------------------------------------------------------------------ *)
 (* The select loop                                                     *)
@@ -828,145 +650,57 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
 
 (* A client [Event] whose bytes validate completely takes the raw fast
    path: relayed into the owning shard's staging buffer with only the
-   session id rewritten global → local, never decoded.  Returns [true]
-   if the frame at [off] was consumed this way.  Anything else — other
-   tags, an event that fails byte validation (the decoder will call it
-   Corrupt), an unknown or unowned session — declines into the decode
-   path, so no unvalidated client byte ever reaches a shard stream. *)
-let try_fast_event (t : t) (c : conn) (data : string) (off : int) : int option
-    =
-  match Wire.peek ~off data with
-  | Wire.Raw r
-    when r.Wire.r_tag = 0x02 && Wire.event_payload_ok data r -> (
-      match Hashtbl.find_opt t.sessions r.Wire.r_session with
-      | Some p when p.p_owner = Some c.fd ->
-          let sh = t.shards.(p.p_shard) in
-          Wire.relay_rewrite sh.s_out_staging data r ~session:p.p_local;
-          t.d_frames_in <- t.d_frames_in + 1;
-          t.d_frames_out <- t.d_frames_out + 1;
-          Some r.Wire.r_total
-      | _ ->
-          t.d_frames_in <- t.d_frames_in + 1;
-          error t c 5 (string_of_int r.Wire.r_session);
-          Some r.Wire.r_total)
-  | _ -> None
+   session id rewritten global → local, never decoded.  Returns whether
+   it took the frame.  Anything else — other tags, an event that fails
+   byte validation (the decoder will call it Corrupt) — declines into
+   the decode path, so no unvalidated client byte ever reaches a shard
+   stream. *)
+let try_fast_event (t : t) (c : Conn.t) (data : string) (r : Wire.raw) : bool =
+  r.Wire.r_tag = 0x02
+  && Wire.event_payload_ok data r
+  && begin
+       t.d_frames_in <- t.d_frames_in + 1;
+       (match Hashtbl.find_opt t.sessions r.Wire.r_session with
+       | Some p when p.p_owner = Some (Conn.fd c) ->
+           let sh = t.shards.(p.p_shard) in
+           Conn.relay sh.conn data r ~session:p.p_local;
+           t.d_frames_out <- t.d_frames_out + 1
+       | _ -> error t c 5 (string_of_int r.Wire.r_session));
+       true
+     end
 
-let drain_client_inbuf (t : t) (c : conn) : unit =
-  let data = Buffer.contents c.inbuf in
-  let len = String.length data in
-  let off = ref 0 in
-  let continue = ref true in
-  while !continue && !off < len && not c.closing do
-    match try_fast_event t c data !off with
-    | Some consumed -> off := !off + consumed
-    | None -> (
-        match Wire.decode ~off:!off data with
-        | Wire.Frame (Wire.Client f, consumed) ->
-            t.d_frames_in <- t.d_frames_in + 1;
-            off := !off + consumed;
-            handle_client_frame t c f
-        | Wire.Frame (Wire.Host _, consumed) ->
-            ignore consumed;
-            violation t c "host-tagged frame from a client";
-            continue := false
-        | Wire.Need_more -> continue := false
-        | Wire.Corrupt m ->
-            violation t c m;
-            continue := false)
-  done;
-  if !off > 0 || c.closing then begin
-    let rest = if c.closing then "" else String.sub data !off (len - !off) in
-    Buffer.clear c.inbuf;
-    Buffer.add_string c.inbuf rest
-  end
-
-let client_read_chunk = Bytes.create 65536
-
-let read_client (c : conn) : bool =
-  let rec go () =
-    match Unix.read c.fd client_read_chunk 0 (Bytes.length client_read_chunk) with
-    | 0 -> false
-    | n ->
-        Buffer.add_subbytes c.inbuf client_read_chunk 0 n;
-        if n = Bytes.length client_read_chunk then go () else true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+let drain_client (t : t) (c : Conn.t) : unit =
+  let decoded = function
+    | Wire.Client f ->
+        t.d_frames_in <- t.d_frames_in + 1;
+        handle_client_frame t c f;
         true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> false
+    | Wire.Host _ ->
+        violation t c "host-tagged frame from a client";
+        true
   in
-  go ()
-
-let flush_client (c : conn) : bool =
-  let rec go () =
-    let remaining = String.length c.out_pending - c.out_off in
-    if remaining = 0 then
-      if Buffer.length c.out_staging = 0 then true
-      else begin
-        c.out_pending <- Buffer.contents c.out_staging;
-        Buffer.clear c.out_staging;
-        c.out_off <- 0;
-        go ()
-      end
-    else
-      match Unix.write_substring c.fd c.out_pending c.out_off remaining with
-      | n ->
-          c.out_off <- c.out_off + n;
-          if n = remaining then go () else true
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          true
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> false
-  in
-  go ()
-
-let accept_loop (t : t) : bool =
-  let accepted = ref false in
-  let continue = ref true in
-  while !continue do
-    match Unix.accept ~cloexec:true t.listen_fd with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        Hashtbl.replace t.conns fd
-          {
-            fd;
-            inbuf = Buffer.create 4096;
-            out_pending = "";
-            out_off = 0;
-            out_staging = Buffer.create 4096;
-            scratch = Buffer.create 256;
-            closing = false;
-          };
-        t.d_accepted <- t.d_accepted + 1;
-        accepted := true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> continue := false
-  done;
-  !accepted
+  match Conn.frames ~raw:(try_fast_event t c) c decoded with
+  | Some m -> violation t c m
+  | None -> ()
 
 let step ?(timeout = 0.05) (t : t) : bool =
   if t.stopped then false
   else begin
-    let reads = ref [ t.listen_fd ] in
-    Array.iter (fun sh -> reads := sh.sfd :: !reads) t.shards;
-    let writes = ref [] in
-    Hashtbl.iter
-      (fun fd c ->
-        if not c.closing then reads := fd :: !reads;
-        if conn_has_output c then writes := fd :: !writes)
-      t.conns;
-    Array.iter
-      (fun sh -> if shard_has_output sh then writes := sh.sfd :: !writes)
-      t.shards;
-    let rec select_retry () =
-      try Unix.select !reads !writes [] timeout
-      with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry ()
+    let peers =
+      Hashtbl.fold
+        (fun _ c acc -> c :: acc)
+        t.conns
+        (Array.to_list (Array.map (fun sh -> sh.conn) t.shards))
     in
-    let readable, writable, _ = select_retry () in
+    let incoming, readable = Conn.select ~listener:t.listener peers timeout in
     let worked = ref false in
-    if List.mem t.listen_fd readable then
-      if accept_loop t then worked := true;
+    if incoming then
+      List.iter
+        (fun c ->
+          Hashtbl.replace t.conns (Conn.fd c) c;
+          t.d_accepted <- t.d_accepted + 1;
+          worked := true)
+        (Conn.accept t.listener);
     (* shard traffic first: deltas route into client staging buffers.
        The drain runs whether or not the socket is readable — an rpc
        may have left complete frames (repaint deltas that rode in
@@ -974,8 +708,9 @@ let step ?(timeout = 0.05) (t : t) : bool =
        wire. *)
     Array.iter
       (fun sh ->
-        if List.mem sh.sfd readable then read_shard sh;
-        if Buffer.length sh.s_in > 0 then begin
+        if List.mem (Conn.fd sh.conn) readable then
+          shard_io sh (fun () -> Conn.read sh.conn);
+        if Conn.buffered sh.conn then begin
           worked := true;
           ignore (drain_shard_frames t sh ())
         end)
@@ -983,25 +718,19 @@ let step ?(timeout = 0.05) (t : t) : bool =
     (* client frames, which may fan control exchanges out to shards *)
     List.iter
       (fun fd ->
-        if fd <> t.listen_fd then
-          match Hashtbl.find_opt t.conns fd with
-          | None -> ()
-          | Some c ->
-              worked := true;
-              if read_client c then drain_client_inbuf t c else drop_conn t c)
+        match Hashtbl.find_opt t.conns fd with
+        | None -> ()
+        | Some c -> (
+            worked := true;
+            match Conn.read c with
+            | () -> drain_client t c
+            | exception Conn.Failed _ -> drop_conn t c))
       readable;
     (* egress both ways *)
-    Array.iter (fun sh -> flush_shard_once sh) t.shards;
-    ignore writable;
-    let dead = ref [] in
-    Hashtbl.iter
-      (fun _ c ->
-        if conn_has_output c || c.closing then begin
-          if not (flush_client c) then dead := c :: !dead
-          else if c.closing && not (conn_has_output c) then dead := c :: !dead
-        end)
-      t.conns;
-    List.iter (fun c -> drop_conn t c) !dead;
+    Array.iter (fun sh -> shard_io sh (fun () -> Conn.flush sh.conn)) t.shards;
+    Hashtbl.fold (fun _ c dead -> if Conn.flush_live c then dead else c :: dead)
+      t.conns []
+    |> List.iter (drop_conn t);
     !worked
   end
 
@@ -1048,13 +777,8 @@ let stats (t : t) : stats =
 let stop (t : t) : unit =
   if not t.stopped then begin
     t.stopped <- true;
-    Array.iter
-      (fun sh -> try Unix.close sh.sfd with Unix.Unix_error _ -> ())
-      t.shards;
-    Hashtbl.iter
-      (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-      t.conns;
+    Array.iter (fun sh -> Conn.close sh.conn) t.shards;
+    Hashtbl.iter (fun _ c -> Conn.close c) t.conns;
     Hashtbl.reset t.conns;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    try Unix.unlink t.path with Unix.Unix_error _ -> ()
+    Conn.close_listener t.listener
   end

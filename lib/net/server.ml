@@ -1,11 +1,7 @@
 (** The networked host (see the interface).  Single-threaded and
-    [select]-based: every connection is nonblocking, reads accumulate
-    in a per-connection buffer that {!Wire.decode} consumes frame by
-    frame.  Egress is coalesced: every frame sent during a tick is
-    encoded (via a per-connection scratch, no per-frame allocation)
-    into one staging buffer, which flush promotes to a single write —
-    so a tick's worth of deltas costs one syscall per connection, and
-    a slow client never blocks the fleet. *)
+    [select]-based over {!Conn}s: reads accumulate in each connection's
+    input buffer, and a tick's worth of frames leaves as one staged
+    write per connection, so a slow client never blocks the fleet. *)
 
 module Registry = Live_host.Registry
 module Scheduler = Live_host.Scheduler
@@ -25,22 +21,7 @@ type view = {
   mutable unacked : int;
 }
 
-type conn = {
-  fd : Unix.file_descr;
-  mutable inbuf : Buffer.t;
-  mutable out_pending : string;
-      (** the write in flight; bytes before [out_off] are sent *)
-  mutable out_off : int;
-  out_staging : Buffer.t;
-      (** frames staged since the last promote — one tick's egress,
-          flushed as a single write *)
-  scratch : Buffer.t;  (** body scratch for {!Wire.encode_into} *)
-  views : (Registry.id, view) Hashtbl.t;
-  mutable closing : bool;  (** close once the out buffers drain *)
-}
-
-let has_output (c : conn) : bool =
-  String.length c.out_pending > c.out_off || Buffer.length c.out_staging > 0
+type conn = { conn : Conn.t; views : (Registry.id, view) Hashtbl.t }
 
 type stats = {
   accepted : int;
@@ -60,8 +41,7 @@ type stats = {
 type t = {
   reg : Registry.t;
   sched : Scheduler.t;
-  listen_fd : Unix.file_descr;
-  path : string;
+  listener : Conn.listener;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   mutable pending_rollout : (int * Rollout.t) option;
       (** the open cross-shard UPDATE transaction, at most one:
@@ -70,7 +50,7 @@ type t = {
   mutable s_accepted : int;
   mutable s_frames_in : int;
   mutable s_frames_out : int;
-  mutable s_bytes_in : int;
+  mutable s_bytes_in : int;  (** from connections since dropped *)
   mutable s_bytes_out : int;
   mutable s_deltas : int;
   mutable s_delta_rows : int;
@@ -82,26 +62,13 @@ type t = {
 
 let create ?(config = Registry.default_config) ?batch ~socket
     (program : Live_core.Program.t) : t =
-  (* a peer hanging up mid-write must surface as EPIPE on the write
-     (handled per-connection), not kill the whole host *)
-  if Sys.os_type = "Unix" then
-    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let reg = Registry.create ~config program in
   let sched = Scheduler.create ?batch reg in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock fd;
-  (try
-     Unix.bind fd (Unix.ADDR_UNIX socket);
-     Unix.listen fd 64
-   with e ->
-     Unix.close fd;
-     raise e);
+  let listener = Conn.listen socket in
   {
     reg;
     sched;
-    listen_fd = fd;
-    path = socket;
+    listener;
     conns = Hashtbl.create 16;
     pending_rollout = None;
     stopped = false;
@@ -122,13 +89,14 @@ let registry (t : t) = t.reg
 let scheduler (t : t) = t.sched
 
 let stats (t : t) : stats =
+  let live f = Hashtbl.fold (fun _ c n -> n + f c.conn) t.conns 0 in
   {
     accepted = t.s_accepted;
     connections = Hashtbl.length t.conns;
     frames_in = t.s_frames_in;
     frames_out = t.s_frames_out;
-    bytes_in = t.s_bytes_in;
-    bytes_out = t.s_bytes_out;
+    bytes_in = t.s_bytes_in + live Conn.bytes_in;
+    bytes_out = t.s_bytes_out + live Conn.bytes_out;
     deltas_sent = t.s_deltas;
     delta_rows_sent = t.s_delta_rows;
     full_rows = t.s_full_rows;
@@ -138,7 +106,7 @@ let stats (t : t) : stats =
   }
 
 let send (t : t) (c : conn) (f : Wire.frame) : unit =
-  Wire.encode_into ~scratch:c.scratch c.out_staging f;
+  Conn.send c.conn f;
   t.s_frames_out <- t.s_frames_out + 1
 
 (* Close the connection now.  Its sessions stay in the fleet — session
@@ -147,8 +115,10 @@ let send (t : t) (c : conn) (f : Wire.frame) : unit =
    and remain observable; only an explicit [Detach] takes one out. *)
 let drop_conn (t : t) (c : conn) : unit =
   Hashtbl.reset c.views;
-  Hashtbl.remove t.conns c.fd;
-  try Unix.close c.fd with Unix.Unix_error _ -> ()
+  Hashtbl.remove t.conns (Conn.fd c.conn);
+  t.s_bytes_in <- t.s_bytes_in + Conn.bytes_in c.conn;
+  t.s_bytes_out <- t.s_bytes_out + Conn.bytes_out c.conn;
+  Conn.close c.conn
 
 let screenshot_rows (t : t) (id : Registry.id) : string array option =
   match Registry.session t.reg id with
@@ -186,7 +156,7 @@ let mark_all_dirty (t : t) : unit =
 let violation (t : t) (c : conn) (msg : string) : unit =
   t.s_corrupt <- t.s_corrupt + 1;
   error t c 1 msg;
-  c.closing <- true
+  Conn.close_after_flush c.conn
 
 let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
   match f with
@@ -285,7 +255,7 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
   | Wire.Bye ->
       (* orderly goodbye: the sessions live on, unattached *)
       Hashtbl.reset c.views;
-      c.closing <- true
+      Conn.close_after_flush c.conn
   | Wire.Update { program } -> (
       match Snapshot.program_of_string program with
       | Error m -> error t c 6 m
@@ -399,83 +369,12 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
   | Wire.Rebalance _ ->
       error t c 6 "rebalance: not a director"
 
-let handle_frame (t : t) (c : conn) : Wire.frame -> unit = function
+let handle_frame (t : t) (c : conn) (f : Wire.frame) : bool =
+  t.s_frames_in <- t.s_frames_in + 1;
+  (match f with
   | Wire.Client f -> handle_client_frame t c f
-  | Wire.Host _ -> violation t c "host-tagged frame from a client"
-
-(* Decode and handle every complete frame in the connection's input
-   buffer; compacts the buffer to the undecoded remainder. *)
-let drain_inbuf (t : t) (c : conn) : unit =
-  let data = Buffer.contents c.inbuf in
-  let len = String.length data in
-  let off = ref 0 in
-  let continue = ref true in
-  while !continue && !off < len && not c.closing do
-    match Wire.decode ~off:!off data with
-    | Wire.Frame (f, consumed) ->
-        t.s_frames_in <- t.s_frames_in + 1;
-        off := !off + consumed;
-        handle_frame t c f
-    | Wire.Need_more -> continue := false
-    | Wire.Corrupt m ->
-        violation t c m;
-        continue := false
-  done;
-  if !off > 0 || c.closing then begin
-    let rest =
-      if c.closing then "" else String.sub data !off (len - !off)
-    in
-    Buffer.clear c.inbuf;
-    Buffer.add_string c.inbuf rest
-  end
-
-let read_chunk = Bytes.create 65536
-
-(* Read everything currently available; [false] if the peer hung up
-   or errored (the connection is dropped). *)
-let read_conn (t : t) (c : conn) : bool =
-  let rec go () =
-    match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
-    | 0 -> false
-    | n ->
-        t.s_bytes_in <- t.s_bytes_in + n;
-        Buffer.add_subbytes c.inbuf read_chunk 0 n;
-        if n = Bytes.length read_chunk then go () else true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        true
-    (* a signal landing mid-read is not a peer error — retry *)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    | exception Unix.Unix_error _ -> false
-  in
-  go ()
-
-(* Drain the out buffers as far as the socket allows; [false] on a
-   dead peer.  When the in-flight write completes, the whole staging
-   buffer — every frame sent since the last promote — becomes the next
-   write: one syscall per tick per connection in the common case. *)
-let flush_conn (t : t) (c : conn) : bool =
-  let rec go () =
-    let remaining = String.length c.out_pending - c.out_off in
-    if remaining = 0 then
-      if Buffer.length c.out_staging = 0 then true
-      else begin
-        c.out_pending <- Buffer.contents c.out_staging;
-        Buffer.clear c.out_staging;
-        c.out_off <- 0;
-        go ()
-      end
-    else
-      match Unix.write_substring c.fd c.out_pending c.out_off remaining with
-      | n ->
-          t.s_bytes_out <- t.s_bytes_out + n;
-          c.out_off <- c.out_off + n;
-          if n = remaining then go () else true
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          true
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | exception Unix.Unix_error _ -> false
-  in
-  go ()
+  | Wire.Host _ -> violation t c "host-tagged frame from a client");
+  true
 
 (* Send every dirty view its damage-masked Delta.  An empty row list
    still goes out — it is the acknowledgement a lockstep client waits
@@ -483,7 +382,7 @@ let flush_conn (t : t) (c : conn) : bool =
 let send_deltas (t : t) : unit =
   Hashtbl.iter
     (fun _ c ->
-      if not c.closing then
+      if not (Conn.closing c.conn) then
         Hashtbl.iter
           (fun id view ->
             if view.dirty then begin
@@ -511,64 +410,34 @@ let send_deltas (t : t) : unit =
           c.views)
     t.conns
 
-let accept_loop (t : t) : bool =
-  let accepted = ref false in
-  let continue = ref true in
-  while !continue do
-    match Unix.accept ~cloexec:true t.listen_fd with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        Hashtbl.replace t.conns fd
-          {
-            fd;
-            inbuf = Buffer.create 4096;
-            out_pending = "";
-            out_off = 0;
-            out_staging = Buffer.create 4096;
-            scratch = Buffer.create 256;
-            views = Hashtbl.create 8;
-            closing = false;
-          };
-        t.s_accepted <- t.s_accepted + 1;
-        accepted := true
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> continue := false
-  done;
-  !accepted
-
 let step ?(timeout = 0.05) (t : t) : bool =
   if t.stopped then false
   else begin
-    let reads = ref [ t.listen_fd ] in
-    let writes = ref [] in
-    Hashtbl.iter
-      (fun fd c ->
-        if not c.closing then reads := fd :: !reads;
-        if has_output c then writes := fd :: !writes)
-      t.conns;
-    (* An interrupted select is retried, not treated as an idle tick:
-       a signal storm must never starve the loop of readiness facts. *)
-    let rec select_retry () =
-      try Unix.select !reads !writes [] timeout
-      with Unix.Unix_error (Unix.EINTR, _, _) -> select_retry ()
-    in
-    let readable, writable, _ = select_retry () in
+    let conns = Hashtbl.fold (fun _ c acc -> c.conn :: acc) t.conns [] in
+    let incoming, readable = Conn.select ~listener:t.listener conns timeout in
     let worked = ref false in
-    if List.mem t.listen_fd readable then
-      if accept_loop t then worked := true;
+    if incoming then
+      List.iter
+        (fun conn ->
+          Hashtbl.replace t.conns (Conn.fd conn)
+            { conn; views = Hashtbl.create 8 };
+          t.s_accepted <- t.s_accepted + 1;
+          worked := true)
+        (Conn.accept t.listener);
     (* Ingress: read and handle every complete frame on every readable
-       connection. *)
+       connection; a dead peer is dropped. *)
     List.iter
       (fun fd ->
-        if fd <> t.listen_fd then
-          match Hashtbl.find_opt t.conns fd with
-          | None -> ()
-          | Some c ->
-              worked := true;
-              if read_conn t c then drain_inbuf t c
-              else drop_conn t c)
+        match Hashtbl.find_opt t.conns fd with
+        | None -> ()
+        | Some c -> (
+            worked := true;
+            match Conn.read c.conn with
+            | () -> (
+                match Conn.frames c.conn (handle_frame t c) with
+                | Some m -> violation t c m
+                | None -> ())
+            | exception Conn.Failed _ -> drop_conn t c))
       readable;
     (* Serve: drain every event accepted above (and any left over),
        then answer with deltas. *)
@@ -577,23 +446,12 @@ let step ?(timeout = 0.05) (t : t) : bool =
       (match Scheduler.drain t.sched with Ok _ | Error _ -> ())
     end;
     send_deltas t;
-    (* Egress: flush what the sockets will take; close drained
-       connections that asked for it. *)
-    let dead = ref [] in
-    Hashtbl.iter
-      (fun _ c ->
-        if has_output c || c.closing then begin
-          if not (flush_conn t c) then dead := c :: !dead
-          else if c.closing && not (has_output c) then dead := c :: !dead
-        end)
-      t.conns;
-    List.iter (fun c -> drop_conn t c) !dead;
-    List.iter
-      (fun fd ->
-        match Hashtbl.find_opt t.conns fd with
-        | Some c -> if not (flush_conn t c) then drop_conn t c
-        | None -> ())
-      writable;
+    (* Egress: flush what the sockets will take; drop the dead and the
+       drained closing. *)
+    Hashtbl.fold
+      (fun _ c dead -> if Conn.flush_live c.conn then dead else c :: dead)
+      t.conns []
+    |> List.iter (drop_conn t);
     !worked
   end
 
@@ -605,9 +463,6 @@ let run ~(until : unit -> bool) (t : t) : unit =
 let stop (t : t) : unit =
   if not t.stopped then begin
     t.stopped <- true;
-    Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-      t.conns;
-    Hashtbl.reset t.conns;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    try Unix.unlink t.path with Unix.Unix_error _ -> ()
+    Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] |> List.iter (drop_conn t);
+    Conn.close_listener t.listener
   end

@@ -12,7 +12,10 @@
       UPDATE moves every shard to the new one;
     - {b rebalance}: sessions migrate between shards under an open
       client connection, the before/after fleet digest holds, and the
-      moved sessions keep answering events at their global ids. *)
+      moved sessions keep answering events at their global ids;
+    - {b hostile clients and signals}: a protocol violation closes only
+      the offending connection, and a SIGALRM storm leaves a directed
+      run's digest equal to the single process's. *)
 
 open Helpers
 module Wire = Live_net.Wire
@@ -20,6 +23,7 @@ module Snapshot = Live_net.Snapshot
 module Server = Live_net.Server
 module Client = Live_net.Client
 module Director = Live_net.Director
+module Conn = Live_net.Conn
 module H = Live_host
 module Prng = Live_conformance.Prng
 
@@ -74,72 +78,37 @@ let stop_fleet (f : fleet) : unit =
   Array.iter Server.stop f.shards
 
 (* ------------------------------------------------------------------ *)
-(* A raw admin connection to the director                              *)
+(* An admin connection to the director                                 *)
 (*                                                                     *)
 (* Owns no sessions (unless it says Hello), so by default the only     *)
 (* frames on this socket are replies to its own requests.              *)
 (* ------------------------------------------------------------------ *)
 
-type admin = { afd : Unix.file_descr; abuf : Buffer.t; mutable aoff : int }
-
-let admin_connect (path : string) : admin =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
-  Unix.set_nonblock fd;
-  { afd = fd; abuf = Buffer.create 1024; aoff = 0 }
-
-let admin_close (a : admin) : unit =
-  try Unix.close a.afd with Unix.Unix_error _ -> ()
-
-let admin_send ~(pump : unit -> unit) (a : admin) (f : Wire.client_frame) :
+let admin_send ~(pump : unit -> unit) (a : Conn.t) (f : Wire.client_frame) :
     unit =
-  let bytes = Wire.encode (Wire.Client f) in
-  let len = String.length bytes in
-  let off = ref 0 in
-  while !off < len do
-    match Unix.write_substring a.afd bytes !off (len - !off) with
-    | n -> off := !off + n
-    | exception
-        Unix.Unix_error
-          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        pump ()
-  done
+  Conn.send a (Wire.Client f);
+  Conn.push ~pump a
 
-let admin_chunk = Bytes.create 65536
-
-let admin_recv ~(pump : unit -> unit) (a : admin) : Wire.host_frame =
-  let deadline = Unix.gettimeofday () +. 30. in
-  let rec loop () =
-    let data = Buffer.contents a.abuf in
-    match Wire.decode ~off:a.aoff data with
-    | Wire.Frame (Wire.Host f, consumed) ->
-        a.aoff <- a.aoff + consumed;
-        if a.aoff = String.length data then begin
-          Buffer.clear a.abuf;
-          a.aoff <- 0
-        end;
-        f
-    | Wire.Frame (Wire.Client _, _) ->
-        Alcotest.fail "client-tagged frame from the director"
-    | Wire.Corrupt m -> Alcotest.failf "admin: corrupt stream: %s" m
-    | Wire.Need_more ->
-        if Unix.gettimeofday () > deadline then
-          Alcotest.fail "admin: no reply within 30s";
-        pump ();
-        (match Unix.read a.afd admin_chunk 0 (Bytes.length admin_chunk) with
-        | 0 -> Alcotest.fail "director closed the admin connection"
-        | n -> Buffer.add_subbytes a.abuf admin_chunk 0 n
-        | exception
-            Unix.Unix_error
-              ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-            ());
-        loop ()
-  in
-  loop ()
+let admin_recv ~(pump : unit -> unit) (a : Conn.t) : Wire.host_frame =
+  Conn.await ~pump [ a ] (fun () -> Conn.next a)
 
 let admin_rpc ~pump a f =
   admin_send ~pump a f;
   admin_recv ~pump a
+
+(* A tap on session [g] is answered by a Delta for [g]. *)
+let tap_answered ~pump a g =
+  admin_send ~pump a
+    (Wire.Event { session = g; ev = Wire.Ev_tap { x = 1; y = 1 } });
+  let rec await () =
+    match admin_recv ~pump a with
+    | Wire.Delta { session; _ } when session = g -> ()
+    | Wire.Delta _ -> await ()
+    | fr ->
+        Alcotest.failf "expected Delta for %d, got %s" g
+          (Fmt.str "%a" Wire.pp (Wire.Host fr))
+  in
+  await ()
 
 let expect_ack ~pump a f : string =
   match admin_rpc ~pump a f with
@@ -196,8 +165,8 @@ let run_directed ~seed ~n_shards ~sessions ~conns ~rounds ~update_round
     ~fail_update ~rebalance_round : string =
   let f = mk_fleet ~tag:(Printf.sprintf "par-%d" seed) ~n_shards (app 0) in
   Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let admin = admin_connect f.dpath in
-  Fun.protect ~finally:(fun () -> admin_close admin) @@ fun () ->
+  let admin = Conn.connect f.dpath in
+  Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
   let on_round r =
     if r = update_round then
       if fail_update then begin
@@ -267,8 +236,8 @@ let prop_director_parity =
 let test_update_atomicity () =
   let f = mk_fleet ~tag:"atom" ~n_shards:2 (app 0) in
   Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let admin = admin_connect f.dpath in
-  Fun.protect ~finally:(fun () -> admin_close admin) @@ fun () ->
+  let admin = Conn.connect f.dpath in
+  Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
   let pump = f.pump in
   (* a resident fleet, owned by this connection *)
   admin_send ~pump admin (Wire.Hello { client = "atom"; sessions = 4 });
@@ -326,8 +295,8 @@ let test_update_atomicity () =
 let test_rebalance_migration () =
   let f = mk_fleet ~tag:"reb" ~n_shards:2 (app 0) in
   Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let admin = admin_connect f.dpath in
-  Fun.protect ~finally:(fun () -> admin_close admin) @@ fun () ->
+  let admin = Conn.connect f.dpath in
+  Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
   let pump = f.pump in
   let spawn n =
     admin_send ~pump admin (Wire.Hello { client = "reb"; sessions = n });
@@ -380,19 +349,98 @@ let test_rebalance_migration () =
   Alcotest.(check int) "no session lost" sessions
     (List.fold_left ( + ) 0 loads);
   (* migrated sessions still answer events at their global ids *)
+  List.iter (fun (g, _) -> tap_answered ~pump admin g) after
+
+(* ------------------------------------------------------------------ *)
+(* Protocol violations and signal storms                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Pump until the director hangs up on this connection ({!Conn.poll}
+   fails only when a read does, never on a timeout). *)
+let expect_closed ~(pump : unit -> unit) (a : Conn.t) : unit =
+  let rec go n =
+    if n = 0 then Alcotest.fail "the director kept the connection open";
+    match Conn.poll ~pump [ a ] 0.001 with
+    | exception Conn.Failed _ -> ()
+    | _ -> go (n - 1)
+  in
+  go 1000
+
+let attach_one ~pump a client : int =
+  admin_send ~pump a (Wire.Hello { client; sessions = 1 });
+  match admin_recv ~pump a with
+  | Wire.Attach { session; _ } -> session
+  | fr ->
+      Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
+
+(* A client that sends a host-tagged frame, or an Event whose payload
+   no decoder accepts, gets Error 1 and is closed — even for a session
+   it owns, the malformed bytes never reach a shard stream.  Another
+   connection's sessions keep answering. *)
+let test_director_rejects_violations () =
+  let f = mk_fleet ~tag:"viol" ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
+  let pump = f.pump in
+  let good = Conn.connect f.dpath in
+  Fun.protect ~finally:(fun () -> Conn.close good) @@ fun () ->
+  let ids = List.init 2 (fun _ -> attach_one ~pump good "good") in
+  let host_tagged bad _ =
+    Conn.send bad (Wire.Host (Wire.Metrics { text = "nope" }))
+  in
+  let bad_event bad g =
+    (* kind byte (frame offset 10) 7: the envelope peeks fine, the
+       payload is garbage *)
+    let b =
+      Bytes.of_string
+        (Wire.encode (Wire.Client (Wire.Event { session = g; ev = Wire.Ev_back })))
+    in
+    Bytes.set b 10 '\007';
+    let b = Bytes.to_string b in
+    match Wire.peek b with
+    | Wire.Raw r -> Conn.relay bad b r ~session:g
+    | _ -> Alcotest.fail "the malformed event must pass the envelope check"
+  in
   List.iter
-    (fun (g, _) ->
-      admin_send ~pump admin (Wire.Event { session = g; ev = Wire.Ev_tap { x = 1; y = 1 } });
-      let rec await () =
-        match admin_recv ~pump admin with
-        | Wire.Delta { session; _ } when session = g -> ()
-        | Wire.Delta _ -> await ()
-        | fr ->
-            Alcotest.failf "expected Delta for %d, got %s" g
-              (Fmt.str "%a" Wire.pp (Wire.Host fr))
-      in
-      await ())
-    after
+    (fun stage_bad ->
+      let bad = Conn.connect f.dpath in
+      Fun.protect ~finally:(fun () -> Conn.close bad) @@ fun () ->
+      let g = attach_one ~pump bad "bad" in
+      stage_bad bad g;
+      Conn.push ~pump bad;
+      (match admin_recv ~pump bad with
+      | Wire.Error { code; _ } -> Alcotest.(check int) "protocol violation" 1 code
+      | fr ->
+          Alcotest.failf "expected Error 1, got %s"
+            (Fmt.str "%a" Wire.pp (Wire.Host fr)));
+      expect_closed ~pump bad)
+    [ host_tagged; bad_event ];
+  Alcotest.(check int) "both violations counted" 2
+    (Director.stats f.dir).Director.corrupt;
+  List.iter (tap_answered ~pump good) ids
+
+(* A 5 ms interval timer storms a directed run — client, director,
+   shard rpcs, a two-phase UPDATE and a rebalance — with SIGALRM.  The
+   fleet must come out exactly as if no signal ever fired. *)
+let test_director_eintr_storm () =
+  let seed = 12 and sessions = 6 and conns = 2 and rounds = 8 in
+  let directed =
+    let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
+    Fun.protect
+      ~finally:(fun () ->
+        ignore
+          (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value = 0.; it_interval = 0. });
+        ignore (Sys.signal Sys.sigalrm prev))
+    @@ fun () ->
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_value = 0.005; it_interval = 0.005 });
+    run_directed ~seed ~n_shards:2 ~sessions ~conns ~rounds ~update_round:4
+      ~fail_update:false ~rebalance_round:6
+  in
+  let single =
+    run_single ~seed ~sessions ~conns ~rounds ~update_round:4 ~do_update:true
+  in
+  Alcotest.(check string) "directed digest under a signal storm" single directed
 
 let suite =
   [
@@ -401,4 +449,8 @@ let suite =
       test_update_atomicity;
     Alcotest.test_case "rebalance migrates byte-identically" `Quick
       test_rebalance_migration;
+    Alcotest.test_case "protocol violations close only the offender" `Quick
+      test_director_rejects_violations;
+    Alcotest.test_case "signal storm leaves a directed run intact" `Quick
+      test_director_eintr_storm;
   ]

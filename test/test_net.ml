@@ -17,7 +17,11 @@
     - {b server}: a real Unix-socket fleet driven by the lockstep
       client agrees state-for-state with a direct in-process fleet
       replaying the same seeded trace (transport invariance), with
-      detach/resume and a mid-run broadcast in the loop. *)
+      detach/resume and a mid-run broadcast in the loop;
+    - {b conn}: over a real socket, a frame arriving byte by byte
+      decodes once, coalesced frames decode in order, a hang-up
+      mid-frame is end of stream, and [rpc] returns while its pump
+      drives an in-process server. *)
 
 open Helpers
 module Wire = Live_net.Wire
@@ -870,6 +874,106 @@ let test_server_eintr_storm () =
     (H.Registry.size (Server.registry srv))
 
 (* ------------------------------------------------------------------ *)
+(* Conn over a real socket                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Conn = Live_net.Conn
+
+let frame_t = Alcotest.testable Wire.pp Wire.equal
+
+(* A {!Conn} accepted from a listener, facing a raw socket the test
+   writes bytes on. *)
+let with_raw_peer (tag : string) (f : Unix.file_descr -> Conn.t -> unit) : unit =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "live-test-conn-%s-%d.sock" tag (Unix.getpid ()))
+  in
+  let l = Conn.listen path in
+  Fun.protect ~finally:(fun () -> Conn.close_listener l) @@ fun () ->
+  let raw = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect raw (Unix.ADDR_UNIX path);
+  let c =
+    match Conn.accept l with
+    | [ c ] -> c
+    | cs -> Alcotest.failf "accepted %d connections, expected 1" (List.length cs)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close raw with Unix.Unix_error _ -> ());
+      Conn.close c)
+    (fun () -> f raw c)
+
+let write_raw (fd : Unix.file_descr) (s : string) : unit =
+  Alcotest.(check int) "whole write" (String.length s)
+    (Unix.write_substring fd s 0 (String.length s))
+
+(* Wait for input, then decode everything complete. *)
+let receive (c : Conn.t) : Wire.frame list =
+  ignore (Conn.poll [ c ] 1.0);
+  let got = ref [] in
+  (match Conn.frames c (fun f -> got := f :: !got; true) with
+  | Some m -> Alcotest.failf "corrupt: %s" m
+  | None -> ());
+  List.rev !got
+
+let test_conn_byte_at_a_time () =
+  with_raw_peer "bytes" @@ fun raw c ->
+  let f = Wire.Client (Wire.Hello { client = "one byte at a time"; sessions = 3 }) in
+  let bytes = Wire.encode f in
+  let last = String.length bytes - 1 in
+  String.iteri
+    (fun i ch ->
+      write_raw raw (String.make 1 ch);
+      Alcotest.(check (list frame_t))
+        (Printf.sprintf "after byte %d of %d" (i + 1) (last + 1))
+        (if i = last then [ f ] else [])
+        (receive c))
+    bytes
+
+let test_conn_two_frames_one_write () =
+  with_raw_peer "two" @@ fun raw c ->
+  let f1 = Wire.Client (Wire.Event { session = 4; ev = Wire.Ev_tap { x = 1; y = 2 } })
+  and f2 = Wire.Client (Wire.Detach { session = 4 }) in
+  write_raw raw (Wire.encode f1 ^ Wire.encode f2);
+  Alcotest.(check (list frame_t)) "both, in order" [ f1; f2 ] (receive c)
+
+let test_conn_close_mid_frame () =
+  with_raw_peer "eof" @@ fun raw c ->
+  let bytes = Wire.encode (Wire.Client (Wire.Resume { snapshot = "cut short" })) in
+  write_raw raw (String.sub bytes 0 (String.length bytes / 2));
+  Unix.close raw;
+  let rec until_eof n =
+    if n = 0 then Alcotest.fail "no end of stream";
+    match receive c with
+    | exception Conn.Failed _ -> ()
+    | got ->
+        Alcotest.(check (list frame_t)) "half a frame decodes to nothing" [] got;
+        until_eof (n - 1)
+  in
+  until_eof 10
+
+let test_conn_rpc_pumps_server () =
+  let module Server = Live_net.Server in
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "live-test-conn-rpc-%d.sock" (Unix.getpid ()))
+  in
+  let srv = Server.create ~socket (app 0) in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = Conn.connect socket in
+  Fun.protect ~finally:(fun () -> Conn.close c) @@ fun () ->
+  let pump () = ignore (Server.step ~timeout:0. srv) in
+  let rpc f = Conn.rpc ~pump c (Wire.Client f) (fun () -> Conn.next c) in
+  (match rpc (Wire.Hello { client = "rpc"; sessions = 1 }) with
+  | Wire.Attach { session; _ } -> Alcotest.(check int) "first session" 0 session
+  | f -> Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host f)));
+  match rpc Wire.Stats with
+  | Wire.Metrics _ -> ()
+  | f -> Alcotest.failf "expected Metrics, got %s" (Fmt.str "%a" Wire.pp (Wire.Host f))
+
+(* ------------------------------------------------------------------ *)
 (* The host-net oracle configuration                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -919,5 +1023,13 @@ let suite =
       test_server_select_eintr;
     Alcotest.test_case "signal storm leaves traffic intact" `Quick
       test_server_eintr_storm;
+    Alcotest.test_case "conn: a frame written bytewise decodes once" `Quick
+      test_conn_byte_at_a_time;
+    Alcotest.test_case "conn: two frames in one write decode in order" `Quick
+      test_conn_two_frames_one_write;
+    Alcotest.test_case "conn: a peer closing mid-frame is end of stream" `Quick
+      test_conn_close_mid_frame;
+    Alcotest.test_case "conn: rpc returns while its pump drives a server" `Quick
+      test_conn_rpc_pumps_server;
     prop_host_net_oracle;
   ]
