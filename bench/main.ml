@@ -55,11 +55,11 @@
       shards {1, 2, 4} at fleets {100, 1000}, against the undirected
       single-server baseline (the B15 shape) — the routing proxy's
       per-event tax, measured;
-    - B17 [shard_scaleup]   — real scale-out: shard servers forked as
+    - B17 [shard_scaleup]   — real scale-out: shard servers spawned as
       separate processes behind the director, clients pipelining up
       to W in-flight events per session — single vs shards {1, 2, 4}
-      x window {1, 8, 32} at fleets {1k, 10k}, core count recorded,
-      every configuration digest-checked against an in-process shadow
+      x window {1, 8, 32} at fleets {1k, 10k}, core count recorded;
+      every B15-B17 cell is checked against an in-process shadow
       replay;
     - B18 [wire_encode]     — Wire.encode allocation: fresh-buffer
       encode vs the scratch-reusing encode_into on a Delta frame.
@@ -1337,6 +1337,75 @@ let b14 () : jentry list =
     fleet_sizes
 
 (* ------------------------------------------------------------------ *)
+(* B15-B17: wire cells                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Scenario = Live_net.Scenario
+
+(** The B15-B17 load: [k] sessions over [conns] connections, one tap
+    per session per round in column 2 of a random row of a 16-row app,
+    each session drawing from its own stream of seed 42. *)
+let wire_spec ~(program : Live_core.Program.t) ~k ~conns ~rounds :
+    Scenario.spec =
+  {
+    Scenario.config =
+      { Live_host.Registry.default_config with Live_host.Registry.width = 48 };
+    batch = 8;
+    program = (fun _ -> program);
+    sessions = k;
+    conns;
+    rounds;
+    window = 1;
+    seed = 42;
+    draw =
+      (fun rng ->
+        Live_host.Registry.Tap { x = 2; y = Live_core.Prng.int rng (16 + 3) });
+    updates = [];
+    rebalances = [];
+    moves = 0;
+    detach_every = 0;
+  }
+
+(** One wire cell: run the spec on the topology, check the served fleet
+    against [shadow] outside the timed region ({!Live_net.Client.run}
+    alone), print the cell's line and return the run with its p50, p99
+    and events/s entries, named by [id metric]. *)
+let wire_cell ~(label : string) ~(id : string -> string)
+    (topology : Scenario.topology) (spec : Scenario.spec)
+    ~(shadow : string array) : Scenario.outcome * jentry list =
+  let fleet =
+    Scenario.start ~config:spec.config ~batch:spec.batch topology
+      (spec.program 0)
+  in
+  let o =
+    Fun.protect ~finally:(fun () -> Scenario.stop fleet) @@ fun () ->
+    match Scenario.run fleet spec with
+    | Error m -> failwith (id "run" ^ ": " ^ m)
+    | Ok o -> (
+        match (Scenario.check fleet ~shadow o).problems with
+        | [] -> o
+        | p :: _ -> failwith (id "check" ^ ": " ^ p))
+  in
+  let p q = Live_host.Host_metrics.quantile o.report.latency q in
+  let eps = float_of_int o.report.events_sent /. o.seconds in
+  Printf.printf "  %s  %8.0f events/s  e2e p50 %s  p99 %s  checked\n%!" label
+    eps
+    (pp_time (p 0.5))
+    (pp_time (p 0.99));
+  ( o,
+    [
+      { id = id "e2e-p50-ns"; unit_ = "ns"; value = p 0.5 };
+      { id = id "e2e-p99-ns"; unit_ = "ns"; value = p 0.99 };
+      { id = id "events-per-sec"; unit_ = "events/s"; value = eps };
+    ] )
+
+(** B15 and B16's app: 16 rows, each reading its own global. *)
+let independent_rows () : Live_core.Program.t =
+  (Live_workloads.Synthetic.compile_exn
+     (Live_workloads.Synthetic.independent_rows ~n:16))
+    .Live_surface.Compile.core
+
+(* ------------------------------------------------------------------ *)
 (* B15: networked host — end-to-end latency over real sockets          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1349,20 +1418,9 @@ let b14 () : jentry list =
     network layer.  The workload is [independent_rows], where a tap
     dirties exactly one row: the delta-row ratio is the fraction of
     rows actually shipped vs. what full-frame repaints would send —
-    the protocol's bandwidth claim, measured rather than asserted. *)
+    the protocol's bandwidth claim, measured rather than asserted.
+    Every cell is checked against an in-process replay. *)
 let b15 () : jentry list =
-  let module H = Live_host in
-  let module Server = Live_net.Server in
-  let module Client = Live_net.Client in
-  let module Wire = Live_net.Wire in
-  let module Prng = Live_conformance.Prng in
-  let fleet_conns = [ (10, 10); (100, 25); (1000, 50) ] in
-  let rows_n = 16 in
-  let core =
-    (Live_workloads.Synthetic.compile_exn
-       (Live_workloads.Synthetic.independent_rows ~n:rows_n))
-      .Live_surface.Compile.core
-  in
   header "B15: net_e2e — the networked host over real sockets"
     "lib/net end to end: event-sent -> delta-received latency \
      (framing + socket + select + decode + damage diff included) and \
@@ -1370,69 +1428,33 @@ let b15 () : jentry list =
      size.";
   List.concat_map
     (fun (k, conns) ->
-      let rounds = max 4 (2000 / k) in
-      let socket =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "itsalive-b15-%d-%d.sock" (Unix.getpid ()) k)
+      let spec =
+        wire_spec ~program:(independent_rows ()) ~k ~conns
+          ~rounds:(max 4 (2000 / k))
       in
-      let cfg = { H.Registry.default_config with H.Registry.width = 48 } in
-      let srv = Server.create ~config:cfg ~batch:8 ~socket core in
-      let rngs = Array.init k (fun s -> Prng.create (Prng.derive 42 s)) in
-      let gen ~slot ~round:_ =
-        let rng = rngs.(slot) in
-        Wire.Ev_tap { x = 2; y = Prng.int rng (rows_n + 3) }
+      let o, entries =
+        wire_cell
+          ~label:(Printf.sprintf "fleet=%4d conns=%2d" k conns)
+          ~id:(fun m -> Printf.sprintf "b15/%s/fleet=%04d" m k)
+          Scenario.Single spec ~shadow:(Scenario.shadow spec)
       in
-      let t0 = Unix.gettimeofday () in
-      let report =
-        match
-          Client.run ~socket ~conns ~sessions:k ~rounds ~gen
-            ~pump:(fun () -> ignore (Server.step ~timeout:0. srv))
-            ()
-        with
-        | Ok r -> r
-        | Error m -> failwith ("b15 client: " ^ m)
+      let r = o.report in
+      let pct =
+        if r.full_rows = 0 then 0.
+        else 100. *. float_of_int r.delta_rows /. float_of_int r.full_rows
       in
-      let dt = Unix.gettimeofday () -. t0 in
-      Server.stop srv;
-      let p q = H.Host_metrics.quantile report.Client.latency q in
-      let p50 = p 0.5 and p99 = p 0.99 in
-      let eps = float_of_int report.Client.events_sent /. dt in
-      let ratio =
-        if report.Client.full_rows = 0 then 0.
-        else
-          float_of_int report.Client.delta_rows
-          /. float_of_int report.Client.full_rows
-      in
-      Printf.printf
-        "  fleet=%4d conns=%2d  %8.0f events/s  e2e p50 %s  p99 %s  \
-         delta-rows %.1f%%\n"
-        k conns eps (pp_time p50) (pp_time p99) (100. *. ratio);
-      [
-        {
-          id = Printf.sprintf "b15/e2e-p50-ns/fleet=%04d" k;
-          unit_ = "ns";
-          value = p50;
-        };
-        {
-          id = Printf.sprintf "b15/e2e-p99-ns/fleet=%04d" k;
-          unit_ = "ns";
-          value = p99;
-        };
-        {
-          id = Printf.sprintf "b15/events-per-sec/fleet=%04d" k;
-          unit_ = "events/s";
-          value = eps;
-        };
-        {
-          (* percent, not a 0-1 ratio: the JSON emitter keeps one
-             decimal, which would flatten 0.053 to 0.1 *)
-          id = Printf.sprintf "b15/delta-rows-pct/fleet=%04d" k;
-          unit_ = "percent";
-          value = 100. *. ratio;
-        };
-      ])
-    fleet_conns
+      Printf.printf "  fleet=%4d delta-rows %.1f%%\n" k pct;
+      entries
+      @ [
+          {
+            (* percent, not a 0-1 ratio: the JSON emitter keeps one
+               decimal, which would flatten 0.053 to 0.1 *)
+            id = Printf.sprintf "b15/delta-rows-pct/fleet=%04d" k;
+            unit_ = "percent";
+            value = pct;
+          };
+        ])
+    [ (10, 10); (100, 25); (1000, 50) ]
 
 (* ------------------------------------------------------------------ *)
 (* B16: shard director — multi-shard scaling over the routing proxy    *)
@@ -1449,121 +1471,40 @@ let b15 () : jentry list =
     not multi-core speedup: the win sharding buys in deployment is N
     processes' worth of CPU, which a single-thread harness cannot
     show; what it {e can} show is that the routing layer's tax stays
-    flat as shards are added. *)
+    flat as shards are added.  Every cell is checked against one
+    in-process replay per fleet size. *)
 let b16 () : jentry list =
-  let module H = Live_host in
-  let module Server = Live_net.Server in
-  let module Client = Live_net.Client in
-  let module Director = Live_net.Director in
-  let module Wire = Live_net.Wire in
-  let module Prng = Live_conformance.Prng in
-  let rows_n = 16 in
-  let core =
-    (Live_workloads.Synthetic.compile_exn
-       (Live_workloads.Synthetic.independent_rows ~n:rows_n))
-      .Live_surface.Compile.core
-  in
   header "B16: shard_scaling — the fleet behind the shard director"
     "lib/net/director: event-sent -> delta-received latency and \
      aggregate throughput with the fleet spread over N shard servers \
      behind the routing proxy, vs. the undirected single server \
      (the B15 baseline).";
-  let fleet_conns = [ (100, 25); (1000, 50) ] in
-  let shard_counts = [ 1; 2; 4 ] in
-  let cfg = { H.Registry.default_config with H.Registry.width = 48 } in
   List.concat_map
     (fun (k, conns) ->
-      let rounds = max 4 (2000 / k) in
-      let mk_gen () =
-        let rngs = Array.init k (fun s -> Prng.create (Prng.derive 42 s)) in
-        fun ~slot ~round:_ ->
-          Wire.Ev_tap { x = 2; y = Prng.int rngs.(slot) (rows_n + 3) }
+      let spec =
+        wire_spec ~program:(independent_rows ()) ~k ~conns
+          ~rounds:(max 4 (2000 / k))
       in
-      let run_one ~label ~socket ~pump : Client.report * float =
-        let t0 = Unix.gettimeofday () in
-        match
-          Client.run ~socket ~conns ~sessions:k ~rounds ~gen:(mk_gen ()) ~pump
-            ()
-        with
-        | Ok r -> (r, Unix.gettimeofday () -. t0)
-        | Error m -> failwith ("b16 " ^ label ^ ": " ^ m)
-      in
-      let entries ~col (r : Client.report) (dt : float) =
-        let p q = H.Host_metrics.quantile r.Client.latency q in
-        let eps = float_of_int r.Client.events_sent /. dt in
-        Printf.printf
-          "  fleet=%4d %-8s  %8.0f events/s  e2e p50 %s  p99 %s\n" k col eps
-          (pp_time (p 0.5))
-          (pp_time (p 0.99));
-        [
-          {
-            id = Printf.sprintf "b16/e2e-p50-ns/%s/fleet=%04d" col k;
-            unit_ = "ns";
-            value = p 0.5;
-          };
-          {
-            id = Printf.sprintf "b16/e2e-p99-ns/%s/fleet=%04d" col k;
-            unit_ = "ns";
-            value = p 0.99;
-          };
-          {
-            id = Printf.sprintf "b16/events-per-sec/%s/fleet=%04d" col k;
-            unit_ = "events/s";
-            value = eps;
-          };
-        ]
-      in
-      (* the baseline column: one undirected server (B15's shape) *)
-      let base_sock =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "itsalive-b16-base-%d-%d.sock" (Unix.getpid ()) k)
-      in
-      let srv = Server.create ~config:cfg ~batch:8 ~socket:base_sock core in
-      let br, bdt =
-        run_one ~label:"single" ~socket:base_sock
-          ~pump:(fun () -> ignore (Server.step ~timeout:0. srv))
-      in
-      Server.stop srv;
-      entries ~col:"single" br bdt
-      @ List.concat_map
-          (fun n ->
-            let spath i =
-              Filename.concat
-                (Filename.get_temp_dir_name ())
-                (Printf.sprintf "itsalive-b16-%d-%d-%d.sock" (Unix.getpid ())
-                   k i)
-            in
-            let shards =
-              Array.init n (fun i ->
-                  Server.create ~config:cfg ~batch:8 ~socket:(spath i) core)
-            in
-            let pump_shards () =
-              Array.iter (fun s -> ignore (Server.step ~timeout:0. s)) shards
-            in
-            let dpath = spath 9999 in
-            let dir =
-              Director.create ~pump:pump_shards ~socket:dpath
-                ~shards:(List.init n spath) ()
-            in
-            let pump () =
-              pump_shards ();
-              ignore (Director.step ~timeout:0. dir)
-            in
-            let col = Printf.sprintf "shards=%d" n in
-            let r, dt = run_one ~label:col ~socket:dpath ~pump in
-            Director.stop dir;
-            Array.iter Server.stop shards;
-            entries ~col r dt)
-          shard_counts)
-    fleet_conns
+      let shadow = Scenario.shadow spec in
+      List.concat_map
+        (fun (col, topology) ->
+          snd
+            (wire_cell
+               ~label:(Printf.sprintf "fleet=%4d %-8s" k col)
+               ~id:(fun m -> Printf.sprintf "b16/%s/%s/fleet=%04d" m col k)
+               topology spec ~shadow))
+        (("single", Scenario.Single)
+        :: List.map
+             (fun n -> (Printf.sprintf "shards=%d" n, Scenario.Directed n))
+             [ 1; 2; 4 ]))
+    [ (100, 25); (1000, 50) ]
 
 (* ------------------------------------------------------------------ *)
-(* B17: shard scale-up — forked shard processes, pipelined clients     *)
+(* B17: shard scale-up — spawned shard processes, pipelined clients    *)
 (* ------------------------------------------------------------------ *)
 
 (** B17 measures real scale-out, where B16 could only measure the
-    routing tax: each shard server is a {e separate child process} (a
+    routing tax: each shard server is a {e separate process} (a
     spawned standalone [host_client serve], the CI soak's shape)
     running its own select loop, so on a multi-core machine shards=N
     buys N processes' worth of execution; the client additionally
@@ -1572,214 +1513,70 @@ let b16 () : jentry list =
     [b17/cores] so the speedup figures are interpretable — on a
     single-core container the scale-up curve is honestly flat, and
     the CI runner's multi-core artifact is the number the acceptance
-    criterion reads.  Every configuration's fleet digest (observed
-    over the wire) must equal an in-process shadow replay of the same
-    seeded trace — the transport-invariance oracle guards the fast
-    paths at every point of the matrix. *)
+    criterion reads.  Every cell is checked against an in-process
+    replay of the same seeded trace — the transport-invariance oracle
+    guards the fast paths at every point of the matrix. *)
 let b17 () : jentry list =
-  let module H = Live_host in
-  let module Server = Live_net.Server in
-  let module Client = Live_net.Client in
-  let module Director = Live_net.Director in
-  let module Wire = Live_net.Wire in
-  let module Prng = Live_conformance.Prng in
-  let rows_n = 16 in
   (* the synthetic host app, because that is what a spawned
      [host_client serve] shard runs — the shadow replay and the
      in-process single-server baseline must execute the identical
      program *)
   let core =
     (Live_workloads.Synthetic.compile_exn
-       (Live_workloads.Synthetic.host_app ~rows:rows_n ~version:0 ()))
+       (Live_workloads.Synthetic.host_app ~rows:16 ~version:0 ()))
       .Live_surface.Compile.core
   in
-  header "B17: shard_scaleup — forked shard processes, pipelined clients"
-    "Real scale-out: shard servers forked as separate processes \
+  header "B17: shard_scaleup — spawned shard processes, pipelined clients"
+    "Real scale-out: shard servers spawned as separate processes \
      behind the director, the client pipelining up to W in-flight \
      events per session; single vs shards {1,2,4} x window {1,8,32}, \
-     every configuration digest-checked against an in-process shadow \
+     every configuration checked against an in-process shadow \
      replay.";
   let ncores = Domain.recommended_domain_count () in
   Printf.printf "  (this machine has %d cores)\n" ncores;
-  let fleet_conns = [ (1000, 50); (10000, 64) ] in
   let windows = [ 1; 8; 32 ] in
-  let shard_counts = [ 1; 2; 4 ] in
-  let cfg = { H.Registry.default_config with H.Registry.width = 48 } in
-  (* Shard processes are spawned by exec-ing the standalone
-     [host_client serve] binary — the CI soak's spawn path — rather
-     than [Unix.fork]: OCaml 5 forbids fork in a process that has ever
-     created domains, and B11's pool ran earlier in this binary.
-     [Sys.command] goes through the C library's [system], which
-     fork-execs below the runtime's radar. *)
   let host_client_exe =
     let self = Filename.dirname Sys.executable_name in
     let p = Filename.concat (Filename.dirname self) "bin/host_client.exe" in
     if Sys.file_exists p then p
     else failwith ("b17: host_client binary not found at " ^ p)
   in
-  let spawn_shard ~socket =
-    let pidfile = socket ^ ".pid" in
-    let cmd =
-      Printf.sprintf "%s serve --socket %s --width 48 --rows %d >/dev/null 2>&1 & echo $! > %s"
-        (Filename.quote host_client_exe)
-        (Filename.quote socket) rows_n (Filename.quote pidfile)
-    in
-    if Sys.command cmd <> 0 then failwith ("b17: cannot spawn shard on " ^ socket);
-    let pid =
-      let ic = open_in pidfile in
-      let p = int_of_string (String.trim (input_line ic)) in
-      close_in ic;
-      Sys.remove pidfile;
-      p
-    in
-    pid
-  in
-  let reap pid =
-    (* the shell that launched the server has exited, so the process
-       is init's child — kill it and let init reap *)
-    try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ()
+  let serve socket =
+    [| host_client_exe; "serve"; "--socket"; socket; "--width"; "48";
+       "--rows"; "16" |]
   in
   let cores_entry = { id = "b17/cores"; unit_ = "cores"; value = float_of_int ncores } in
   cores_entry
   :: List.concat_map
        (fun (k, conns) ->
-         let rounds = max 2 (4000 / k) in
-         let mk_gen () =
-           let rngs = Array.init k (fun s -> Prng.create (Prng.derive 42 s)) in
-           fun ~slot ~round:_ ->
-             Wire.Ev_tap { x = 2; y = Prng.int rngs.(slot) (rows_n + 3) }
+         let spec =
+           wire_spec ~program:core ~k ~conns ~rounds:(max 2 (4000 / k))
          in
-         (* the trace is a pure function of (fleet, rounds) — one shadow
-            replay serves every topology x window cell *)
-         let shadow =
-           let reg = H.Registry.create ~config:cfg core in
-           (match H.Registry.spawn_many reg k with
-           | Ok _ -> ()
-           | Error e -> failwith (Live_core.Machine.error_to_string e));
-           let sched = H.Scheduler.create ~batch:8 reg in
-           let gen = mk_gen () in
-           for round = 0 to rounds - 1 do
-             for s = 0 to k - 1 do
-               (match gen ~slot:s ~round with
-               | Wire.Ev_tap { x; y } ->
-                   ignore (H.Registry.offer reg s (H.Registry.Tap { x; y }))
-               | Wire.Ev_back -> ignore (H.Registry.offer reg s H.Registry.Back));
-             done;
-             match H.Scheduler.drain sched with
-             | Ok _ -> ()
-             | Error m -> failwith ("b17 shadow: " ^ m)
-           done;
-           H.Registry.digest reg
+         (* the trace does not depend on the topology or the window: one
+            shadow replay serves every cell *)
+         let shadow = Scenario.shadow spec in
+         let id col window m =
+           Printf.sprintf "b17/%s/%s/window=%02d/fleet=%05d" m col window k
          in
-         let eps_tbl : (string * int, float) Hashtbl.t = Hashtbl.create 16 in
-         let run_cfg ~col ~window ~socket ~pump ~digest_of :
-             jentry list =
-           let t0 = Unix.gettimeofday () in
-           let r =
-             match
-               Client.run ~socket ~conns ~sessions:k ~rounds ~gen:(mk_gen ())
-                 ~window
-                 ~barrier:(fun _ -> false)
-                 ~pump ()
-             with
-             | Ok r -> r
-             | Error m -> failwith (Printf.sprintf "b17 %s: %s" col m)
-           in
-           let dt = Unix.gettimeofday () -. t0 in
-           let d = digest_of () in
-           if not (String.equal d shadow) then
-             failwith
-               (Printf.sprintf
-                  "b17 %s window=%d fleet=%d: digest %s <> shadow %s — the \
-                   fast path changed behaviour"
-                  col window k d shadow);
-           let p q = H.Host_metrics.quantile r.Client.latency q in
-           let eps = float_of_int r.Client.events_sent /. dt in
-           Hashtbl.replace eps_tbl (col, window) eps;
-           Printf.printf
-             "  fleet=%5d %-8s window=%2d  %8.0f events/s  e2e p50 %s  p99 \
-              %s  digest ok\n%!"
-             k col window eps
-             (pp_time (p 0.5))
-             (pp_time (p 0.99));
-           [
-             {
-               id =
-                 Printf.sprintf "b17/events-per-sec/%s/window=%02d/fleet=%05d"
-                   col window k;
-               unit_ = "events/s";
-               value = eps;
-             };
-             {
-               id =
-                 Printf.sprintf "b17/e2e-p50-ns/%s/window=%02d/fleet=%05d" col
-                   window k;
-               unit_ = "ns";
-               value = p 0.5;
-             };
-             {
-               id =
-                 Printf.sprintf "b17/e2e-p99-ns/%s/window=%02d/fleet=%05d" col
-                   window k;
-               unit_ = "ns";
-               value = p 0.99;
-             };
-           ]
+         let cell (col, topology) window : jentry list =
+           snd
+             (wire_cell
+                ~label:(Printf.sprintf "fleet=%5d %-8s window=%2d" k col window)
+                ~id:(id col window) topology { spec with window } ~shadow)
          in
-         let tmp = Filename.get_temp_dir_name () in
-         let single_entries =
+         let cells =
            List.concat_map
-             (fun w ->
-               let socket =
-                 Filename.concat tmp
-                   (Printf.sprintf "itsalive-b17-s-%d-%d-%d.sock"
-                      (Unix.getpid ()) k w)
-               in
-               let srv = Server.create ~config:cfg ~batch:8 ~socket core in
-               let entries =
-                 run_cfg ~col:"single" ~window:w ~socket
-                   ~pump:(fun () -> ignore (Server.step ~timeout:0. srv))
-                   ~digest_of:(fun () -> H.Registry.digest (Server.registry srv))
-               in
-               Server.stop srv;
-               entries)
-             windows
+             (fun topo -> List.concat_map (cell topo) windows)
+             (("single", Scenario.Single)
+             :: List.map
+                  (fun n ->
+                    ( Printf.sprintf "shards=%d" n,
+                      Scenario.Spawned { shards = n; serve } ))
+                  [ 1; 2; 4 ])
          in
-         let sharded_entries =
-           List.concat_map
-             (fun n ->
-               List.concat_map
-                 (fun w ->
-                   let spath i =
-                     Filename.concat tmp
-                       (Printf.sprintf "itsalive-b17-%d-%d-%d-%d-%d.sock"
-                          (Unix.getpid ()) k n w i)
-                   in
-                   let pids =
-                     Array.init n (fun i -> spawn_shard ~socket:(spath i))
-                   in
-                   Fun.protect ~finally:(fun () -> Array.iter reap pids)
-                   @@ fun () ->
-                   let dpath = spath 9999 in
-                   let dir =
-                     Director.create ~socket:dpath
-                       ~shards:(List.init n spath) ()
-                   in
-                   let col = Printf.sprintf "shards=%d" n in
-                   let entries =
-                     run_cfg ~col ~window:w ~socket:dpath
-                       ~pump:(fun () -> ignore (Director.step ~timeout:0. dir))
-                       ~digest_of:(fun () -> Director.fleet_digest dir)
-                   in
-                   Director.stop dir;
-                   for i = 0 to n - 1 do
-                     try Unix.unlink (spath i) with Unix.Unix_error _ -> ()
-                   done;
-                   entries)
-                 windows)
-             shard_counts
+         let eps col w =
+           (List.find (fun e -> e.id = id col w "events-per-sec") cells).value
          in
-         let eps col w = Hashtbl.find eps_tbl (col, w) in
          let ratios =
            List.map
              (fun w ->
@@ -1799,17 +1596,9 @@ let b17 () : jentry list =
                };
              ]
          in
-         List.iter
-           (fun w ->
-             Printf.printf
-               "  -> fleet=%5d window=%2d: shards=4 is %.2fx shards=1\n" k w
-               (eps "shards=4" w /. eps "shards=1" w))
-           windows;
-         Printf.printf
-           "  -> fleet=%5d shards=1: window=8 is %.2fx window=1\n" k
-           (eps "shards=1" 8 /. eps "shards=1" 1);
-         single_entries @ sharded_entries @ ratios)
-       fleet_conns
+         List.iter (fun e -> Printf.printf "  -> %s %.2fx\n" e.id e.value) ratios;
+         cells @ ratios)
+       [ (1000, 50); (10000, 64) ]
 
 (* ------------------------------------------------------------------ *)
 (* B18: wire encode allocation — fresh buffers vs the reused scratch   *)

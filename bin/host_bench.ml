@@ -83,8 +83,9 @@ let usage () =
                       delta-decoded) p50/p99 latency and the damage
                       delta vs full-repaint byte ratio, then replays
                       the identical seeded trace on a direct
-                      in-process fleet and fails unless the two
-                      digests agree (transport invariance).  With
+                      in-process fleet and fails unless every session
+                      and every client frame agree with it, slot by
+                      slot (transport invariance).  With
                       --soak SECS, runs the wall-clock net soak
                       (periodic detach/resume, one broadcast at
                       half-time) instead of a fixed --events count
@@ -97,22 +98,22 @@ let usage () =
                       credits; broadcasts and rebalances still land at
                       full barriers, so the digest contract is
                       unchanged
-  --fork              under --shards: fork each shard server as a real
-                      child process running its own select loop, so
-                      shards execute on separate cores.  The director,
-                      the client and the digest cross-check are
-                      unchanged — transport invariance must hold
+  --fork              under --shards: spawn each shard server as a
+                      sibling host_client serve process running its
+                      own select loop, so shards execute on separate
+                      cores.  The director, the client and the check
+                      are unchanged — transport invariance must hold
                       across process boundaries too
-  --detach-every K    under --net: detach one session (rotating) to a
-                      client-held snapshot and resume it every K
-                      rounds (default 0 = never; the net soak
-                      defaults to 5)
+  --detach-every K    under --net or --shards: detach one session
+                      (rotating) to a client-held snapshot and resume
+                      it every K rounds (default 0 = never; the net
+                      soak defaults to 5)
   --shards N          drive the fleet through an in-process shard
                       director fronting N shard servers over real
                       Unix-domain sockets: fleet-wide UPDATEs run as
                       two-phase commits, one mid-run rebalance
-                      migrates ~10%% of the fleet between shards, and
-                      the directed fleet's digest is cross-checked
+                      migrates ~10% of the fleet between shards, and
+                      the directed fleet is checked slot by slot
                       against a direct in-process shadow replay of the
                       identical seeded trace.  With --soak SECS, runs
                       complete sharded cycles back to back
@@ -282,6 +283,11 @@ let parse_args () =
   in
   try parse (List.tl (Array.to_list Sys.argv)) with Failure _ -> usage ()
 
+(** The sibling [host_client] binary, which [--fork] spawns as shard
+    servers. *)
+let host_client_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "host_client.exe"
+
 (** Reject nonsensical flag combinations up front, before any fleet is
     spawned — a bad invocation must die with a usage message, never
     silently ignore one of its flags (the old behaviour when --soak
@@ -309,33 +315,35 @@ let validate_flags () =
   | _ -> ());
   if !soak <> None && !rollout_soak <> None then
     err "--soak and --rollout-soak are mutually exclusive";
-  if !net && !rollout_soak <> None then
-    err "--net does not support --rollout-soak";
-  if !net && !jobs <> 1 then
-    err "--net drives the sequential scheduler; drop --jobs";
   if !shards < 0 then err "--shards must be >= 1";
   if !shards > 0 && !net then
     err "--shards already drives the fleet over the wire; drop --net";
-  if !shards > 0 && !rollout_soak <> None then
-    err "--shards does not support --rollout-soak";
-  if !shards > 0 && !jobs <> 1 then
-    err "--shards drives the sequential scheduler per shard; drop --jobs";
-  if !shards > 0 && !detach_every <> 0 then
-    err "--shards digest-checks by global id; drop --detach-every";
-  if !shards > 0 && !edit_size <> 0 then
-    err "--shards broadcasts whole-program versions; drop --edit-size";
-  if (not !net) && !shards = 0 && !conns <> 0 then
-    err "--conns requires --net or --shards";
+  let wire = !net || !shards > 0 in
+  let mode = if !net then "--net" else "--shards" in
+  if wire && !rollout_soak <> None then
+    err (mode ^ " does not support --rollout-soak");
+  if wire && !jobs <> 1 then
+    err (mode ^ " drives the sequential scheduler; drop --jobs");
+  (* wire updates are whole programs through the endpoint's UPDATE *)
+  if wire && !edit_size <> 0 then
+    err (mode ^ " broadcasts whole-program versions; drop --edit-size");
+  if wire && !typecheck <> H.Broadcast.Incremental then
+    err (mode ^ " typechecks updates as the endpoint does; drop --typecheck");
+  if (not wire) && !conns <> 0 then err "--conns requires --net or --shards";
   if !window < 1 then err "--window must be >= 1";
-  if !window > 1 && (not !net) && !shards = 0 then
-    err "--window requires --net or --shards";
+  if !window > 1 && not wire then err "--window requires --net or --shards";
   if !fork && !shards = 0 then err "--fork requires --shards";
-  if (not !net) && !detach_every <> 0 then err "--detach-every requires --net";
+  if !fork && !admission <> None then
+    err "--fork spawns host_client serve, which has no --admission";
+  if !fork && not (Sys.file_exists host_client_exe) then
+    err (host_client_exe ^ " not found; build it first (dune build)");
+  if (not wire) && !detach_every <> 0 then
+    err "--detach-every requires --net or --shards";
   if !conns < 0 then err "--conns must be >= 1";
   if !conns > 256 then err "--conns must be <= 256 (select fd budget)";
   if !detach_every < 0 then err "--detach-every must be >= 0";
-  if (!net || !shards > 0) && !conns = 0 then conns := min !sessions 16;
-  if (!net || !shards > 0) && !conns > !sessions then conns := !sessions;
+  if wire && !conns = 0 then conns := min !sessions 16;
+  if wire && !conns > !sessions then conns := !sessions;
   if !jobs > Domain.recommended_domain_count () then
     Printf.eprintf
       "warning: --jobs %d exceeds the recommended domain count (%d); expect \
@@ -488,22 +496,27 @@ let broadcast ?(silent = false) (dr : driver) (version : int)
 (* Modes                                                               *)
 (* ------------------------------------------------------------------ *)
 
+let fleet_config (ev : Live_core.Machine.evaluator) : H.Registry.config =
+  {
+    H.Registry.default_config with
+    H.Registry.width = !width;
+    cache = !cache;
+    queue_capacity = !queue_capacity;
+    queue_policy = !queue_policy;
+    admission_limit = !admission;
+    evaluator = ev;
+  }
+
+(** The broadcast rounds: mid-stream, never round 0, never after the
+    last round. *)
+let update_rounds () : int list =
+  List.init !updates (fun u -> max 1 (!events * (u + 1) / (!updates + 1)))
+
 let make_fleet ?ev ?j ?tc () : H.Registry.t * driver =
   let ev = match ev with Some e -> e | None -> !evaluator in
   let jobs = match j with Some j -> j | None -> !jobs in
   let tc = match tc with Some t -> t | None -> !typecheck in
-  let cfg =
-    {
-      H.Registry.default_config with
-      H.Registry.width = !width;
-      cache = !cache;
-      queue_capacity = !queue_capacity;
-      queue_policy = !queue_policy;
-      admission_limit = !admission;
-      evaluator = ev;
-    }
-  in
-  let reg = H.Registry.create ~config:cfg (compile_version 0) in
+  let reg = H.Registry.create ~config:(fleet_config ev) (compile_version 0) in
   (match H.Registry.spawn_many reg !sessions with
   | Ok _ -> ()
   | Error e ->
@@ -569,10 +582,7 @@ let run_load () : H.Registry.t * driver =
   let ids = Array.of_list (H.Registry.ids reg) in
   let rngs = Array.map (fun id -> Prng.create (Prng.derive !seed id)) ids in
   let srngs = Array.map (fun id -> Prng.create (Prng.derive !seed id)) ids in
-  let update_rounds =
-    (* mid-stream: never round 0, never after the last round *)
-    List.init !updates (fun u -> max 1 ((!events * (u + 1)) / (!updates + 1)))
-  in
+  let update_rounds = update_rounds () in
   let version = ref 0 in
   let t1 = Unix.gettimeofday () in
   for round = 0 to !events - 1 do
@@ -842,519 +852,154 @@ let run_rollout_soak (secs : float) : H.Registry.t * driver =
   (reg, dr)
 
 (* ------------------------------------------------------------------ *)
-(* The networked fleet (lib/net)                                       *)
+(* The wire fleet (lib/net/scenario)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let to_wire_event : H.Registry.uevent -> Live_net.Wire.event = function
-  | H.Registry.Tap { x; y } -> Live_net.Wire.Ev_tap { x; y }
-  | H.Registry.Back -> Live_net.Wire.Ev_back
+module Scenario = Live_net.Scenario
 
-let net_config () =
-  {
-    H.Registry.default_config with
-    H.Registry.width = !width;
-    cache = !cache;
-    queue_capacity = !queue_capacity;
-    queue_policy = !queue_policy;
-    admission_limit = !admission;
-    evaluator = !evaluator;
-  }
+(** [--fork]'s shard: the sibling [host_client serve] over the same app
+    and registry config. *)
+let serve_command (socket : string) : string array =
+  Array.of_list
+    ([ host_client_exe; "serve"; "--socket"; socket;
+       "--width"; string_of_int !width; "--rows"; string_of_int !rows;
+       "--batch"; string_of_int !batch;
+       "--queue-capacity"; string_of_int !queue_capacity;
+       "--queue-policy"; H.Backpressure.policy_to_string !queue_policy;
+       "--evaluator"; evaluator_name !evaluator ]
+    @ if !cache then [ "--cache" ] else [])
 
-(** The fleet digest in {e slot} order rather than id order: resumed
-    sessions come back under fresh ids, so the socket fleet and the
-    direct shadow fleet can only be compared by what each slot
-    observes, not by the ids it happens to hold. *)
-let slot_digest (reg : H.Registry.t) (ids : int list) : string =
-  let buf = Buffer.create 4096 in
-  List.iteri
-    (fun i id ->
-      Buffer.add_string buf (Printf.sprintf "== slot %d ==\n" i);
-      match H.Registry.session reg id with
-      | None -> Buffer.add_string buf "<missing>\n"
-      | Some s -> Buffer.add_string buf (H.Registry.observe_session s))
-    ids;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-(** One complete networked run: an in-process {!Live_net.Server} on a
-    real Unix-domain socket, the lockstep {!Live_net.Client} driving
-    one seeded event per session per round (with optional periodic
-    detach/resume), broadcasts at the same evenly spaced rounds as the
-    direct load mode — then the {e transport invariance} check: a
-    direct in-process fleet replays the identical seeded trace and the
-    two fleets' slot-order digests must agree.  The client's
-    delta-reconstructed frames are also checked byte-for-byte against
-    the server's screenshots, so the damage protocol itself is
-    verified end to end on every run. *)
-let run_net_rounds ~(seed : int) ~(rounds : int) ~(detach_every : int)
-    ~(label : string) : H.Registry.t * driver =
-  let module Server = Live_net.Server in
-  let module Client = Live_net.Client in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "itsalive-net-%d.sock" (Unix.getpid ()))
+(** One complete wire run: the topology ([--net]: one in-process server;
+    [--shards N]: a director over N in-process shards, or over N
+    [host_client serve] processes with [--fork]), the load client with
+    one event per session per round from the load mode's per-session
+    streams, broadcasts at the load mode's rounds and under [--shards]
+    one mid-run rebalance of ~10% of the fleet, then the check — an
+    in-process replay of the identical seeded trace must agree with the
+    served fleet slot for slot, and every client frame rebuilt from
+    deltas with the served pixels.  Sharding, the wire, two-phase
+    UPDATE, detach/resume and live migration must all be
+    observationally invisible.  Returns the fleet metrics and the
+    served digest. *)
+let run_wire ~(seed : int) ~(detach_every : int) ~(label : string) :
+    H.Host_metrics.snapshot * string =
+  let spec =
+    {
+      Scenario.config = fleet_config !evaluator;
+      batch = !batch;
+      program = compile_version;
+      sessions = !sessions;
+      conns = !conns;
+      rounds = !events;
+      window = !window;
+      seed;
+      draw = gen_event;
+      updates = update_rounds ();
+      rebalances = (if !shards > 0 then [ max 1 (!events / 2) ] else []);
+      moves = max 1 (!sessions / 10);
+      detach_every;
+    }
   in
-  let srv =
-    Server.create ~config:(net_config ()) ~batch:!batch ~socket
-      (compile_version 0)
+  let topology, over =
+    if !shards = 0 then (Scenario.Single, "one server")
+    else if !fork then
+      ( Scenario.Spawned { shards = !shards; serve = serve_command },
+        Printf.sprintf "%d shard processes" !shards )
+    else (Scenario.Directed !shards, Printf.sprintf "%d shards" !shards)
   in
-  let reg = Server.registry srv in
-  let pump () = ignore (Server.step ~timeout:0. srv) in
-  let rngs = Array.init !sessions (fun s -> Prng.create (Prng.derive seed s)) in
-  let gen ~slot ~round:_ = to_wire_event (gen_event rngs.(slot)) in
-  let update_rounds =
-    List.init !updates (fun u -> max 1 (rounds * (u + 1) / (!updates + 1)))
+  let fleet =
+    Scenario.start ~config:spec.config ~batch:spec.batch topology
+      (spec.program 0)
   in
-  let version = ref 0 in
-  let on_round r =
-    if List.mem r update_rounds then begin
-      incr version;
-      (match
-         H.Broadcast.update ~typecheck:!typecheck reg (next_edit reg !version)
-       with
-      | Ok _ -> ()
-      | Error e ->
-          fail "net broadcast v%d rejected: %s" !version
-            (Live_core.Machine.error_to_string e));
-      Server.mark_all_dirty srv
-    end
-  in
-  say "%s: %d sessions over %d connections, %d rounds%s%s\n" label !sessions
-    !conns rounds
+  Fun.protect ~finally:(fun () -> Scenario.stop fleet) @@ fun () ->
+  say "%s: %d sessions over %s (%d connections), %d rounds%s%s\n" label
+    !sessions over !conns !events
     (if !window > 1 then Printf.sprintf ", window %d" !window else "")
     (if detach_every > 0 then
        Printf.sprintf ", detach/resume every %d rounds" detach_every
      else "");
+  match Scenario.run fleet spec with
+  | Error m ->
+      fail "%s: %s" label m;
+      (H.Host_metrics.merge_exported [], "")
+  | Ok o ->
+      List.iter (say "%s: %s\n" label) (Scenario.summary o);
+      Option.iter
+        (fun dir ->
+          let ds = Live_net.Director.stats dir in
+          say
+            "%s: updates %d committed / %d rejected; rebalance moved %d \
+             sessions\n"
+            label ds.updates_committed ds.updates_rejected ds.sessions_moved;
+          List.iter
+            (fun (ep, k) -> say "%s:   %-40s %d sessions\n" label ep k)
+            ds.per_shard)
+        (Scenario.director fleet);
+      List.iter
+        (fun reg -> check_fleet reg (label ^ ": end of run"))
+        (Scenario.registries fleet);
+      check_accounting o.metrics (label ^ ": end of run");
+      let v = Scenario.check fleet ~shadow:(Scenario.shadow spec) o in
+      if v.problems = [] then
+        say "%s cross-check: served fleet and in-process replay agree (%s)\n"
+          label v.digest
+      else List.iter (fail "%s cross-check: %s" label) v.problems;
+      (o.metrics, v.digest)
+
+(** Wall-clock wire soak: complete checked runs back to back until the
+    budget runs out, each under a fresh derived seed — an hour of
+    soaking explores an hour's worth of distinct traffic.  The net soak
+    detaches every 5 rounds unless told otherwise. *)
+let run_wire_soak (secs : float) : H.Host_metrics.snapshot * string =
+  let mode, base, detach_every =
+    if !shards > 0 then ("shard", 515_151, !detach_every)
+    else ("net", 424_242, if !detach_every > 0 then !detach_every else 5)
+  in
   let t0 = Unix.gettimeofday () in
-  let result =
-    Client.run ~socket ~conns:!conns ~sessions:!sessions ~rounds ~gen
-      ~window:!window
-      ~barrier:(fun r -> List.mem r update_rounds)
-      ?detach_every:(if detach_every > 0 then Some detach_every else None)
-      ~on_round ~pump ~stats:true ()
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  (* let the server process the goodbyes *)
-  for _ = 1 to 50 do
-    ignore (Server.step ~timeout:0. srv)
-  done;
-  (match result with
-  | Error m -> fail "net client: %s" m
-  | Ok r ->
-      let p q = H.Host_metrics.quantile r.Client.latency q /. 1e6 in
-      say "net: %d events in %.2f s (%.0f events/s end-to-end)\n"
-        r.Client.events_sent dt
-        (float_of_int r.Client.events_sent /. dt);
-      say "net: e2e latency p50 %.3f ms  p99 %.3f ms  (%d samples, %d rejected)\n"
-        (p 0.5) (p 0.99)
-        (H.Host_metrics.hist_count r.Client.latency)
-        r.Client.rejected;
-      if r.Client.full_rows > 0 then
-        say
-          "net: damage deltas shipped %d rows vs %d full-repaint rows \
-           (%.1f%%)\n"
-          r.Client.delta_rows r.Client.full_rows
-          (100.
-          *. float_of_int r.Client.delta_rows
-          /. float_of_int r.Client.full_rows);
-      if r.Client.detaches > 0 then
-        say "net: %d detaches, %d resumes (snapshots round-tripped the wire)\n"
-          r.Client.detaches r.Client.resumes;
-      (* the client's delta-reconstructed frames must equal the
-         server's screenshots *)
-      List.iteri
-        (fun slot id ->
-          match H.Registry.session reg id with
-          | None -> fail "net: slot %d's session %d missing at end of run" slot id
-          | Some s ->
-              let want =
-                Live_net.Wire.rows_of_text (Live_runtime.Session.screenshot s)
-              in
-              if want <> r.Client.frames.(slot) then
-                fail
-                  "net: slot %d's delta-reconstructed frame differs from the \
-                   server's screenshot"
-                  slot)
-        r.Client.session_ids;
-      (* transport invariance: the same seeded trace replayed on a
-         direct in-process fleet must digest-agree, slot for slot *)
-      let sreg = H.Registry.create ~config:(net_config ()) (compile_version 0) in
-      (match H.Registry.spawn_many sreg !sessions with
-      | Ok _ -> ()
-      | Error e ->
-          fail "net shadow spawn failed: %s"
-            (Live_core.Machine.error_to_string e));
-      let sched =
-        H.Scheduler.create ~policy:H.Scheduler.Round_robin ~batch:!batch sreg
-      in
-      let srngs =
-        Array.init !sessions (fun s -> Prng.create (Prng.derive seed s))
-      in
-      let sversion = ref 0 in
-      for round = 0 to rounds - 1 do
-        Array.iteri
-          (fun s rng -> ignore (H.Registry.offer sreg s (gen_event rng)))
-          srngs;
-        (match H.Scheduler.drain sched with
-        | Ok _ -> ()
-        | Error m -> fail "net shadow drain: %s" m);
-        if List.mem round update_rounds then begin
-          incr sversion;
-          match
-            H.Broadcast.update ~typecheck:!typecheck sreg
-              (next_edit sreg !sversion)
-          with
-          | Ok _ -> ()
-          | Error e ->
-              fail "net shadow broadcast v%d rejected: %s" !sversion
-                (Live_core.Machine.error_to_string e)
-        end
-      done;
-      check_fleet sreg (Printf.sprintf "%s (direct shadow)" label);
-      let d = slot_digest reg r.Client.session_ids in
-      let sd = slot_digest sreg (List.init !sessions Fun.id) in
-      if String.equal d sd then
-        say
-          "net cross-check: socket fleet and direct fleet digest-identical \
-           (%s)\n"
-          d
-      else
-        fail
-          "net cross-check: socket fleet digest %s <> direct fleet digest %s \
-           — the wire changed behaviour"
-          d sd);
-  check_fleet reg (Printf.sprintf "%s: end of run" label);
-  check_accounting (H.Registry.snapshot reg)
-    (Printf.sprintf "%s: end of run" label);
-  ( reg,
-    {
-      dr_tick = (fun () -> ignore (Server.step ~timeout:0. srv));
-      dr_drain = (fun () -> Ok 0);
-      dr_update =
-        (fun code -> H.Broadcast.update ~typecheck:!typecheck reg code);
-      dr_snapshot = (fun () -> H.Registry.snapshot reg);
-      dr_excl = (fun f -> f ());
-      dr_shutdown = (fun () -> Server.stop srv);
-    } )
-
-let run_net () : H.Registry.t * driver =
-  run_net_rounds ~seed:!seed ~rounds:!events ~detach_every:!detach_every
-    ~label:"net"
-
-(** Wall-clock net soak: complete networked cycles (fresh server,
-    fresh fleet, seeded traffic with periodic detach/resume,
-    mid-stream broadcasts, digest cross-check against the direct
-    shadow) back to back until the budget runs out.  Every chunk
-    derives a fresh master seed, so an hour of soaking explores an
-    hour's worth of distinct traffic, and every chunk enforces the
-    full transport-invariance and accounting contract. *)
-let run_net_soak (secs : float) : H.Registry.t * driver =
-  let de = if !detach_every > 0 then !detach_every else 5 in
-  let t0 = Unix.gettimeofday () in
-  let chunk = ref 0 in
-  let current = ref None in
-  while !chunk = 0 || Unix.gettimeofday () -. t0 < secs do
-    (match !current with Some (_, dr) -> dr.dr_shutdown () | None -> ());
-    current :=
-      Some
-        (run_net_rounds
-           ~seed:(Prng.derive !seed (424_242 + !chunk))
-           ~rounds:!events ~detach_every:de
-           ~label:(Printf.sprintf "net soak chunk %d" !chunk));
-    incr chunk
-  done;
-  say "net soak: %d chunks in %.0f s\n" !chunk (Unix.gettimeofday () -. t0);
-  Option.get !current
-
-(* ------------------------------------------------------------------ *)
-(* The directed multi-shard fleet (lib/net/director)                   *)
-(* ------------------------------------------------------------------ *)
-
-(** One complete sharded run: N in-process shard servers behind a
-    {!Live_net.Director}, the lockstep client driving the fleet through
-    the director's socket.  Broadcasts go over the wire as [Update]
-    frames, so they exercise the two-phase prepare/commit across every
-    shard; one mid-run [Rebalance] migrates ~10%% of the fleet between
-    shards under traffic.  The check is the ISSUE's acceptance
-    criterion verbatim: the directed fleet's digest (by global id) must
-    be byte-identical to a direct in-process shadow fleet replaying the
-    same seeded trace — sharding, the wire, two-phase UPDATE, and live
-    migration must all be observationally invisible. *)
-let run_sharded_rounds ~(seed : int) ~(rounds : int) ~(label : string) :
-    H.Registry.t * driver =
-  let module Server = Live_net.Server in
-  let module Client = Live_net.Client in
-  let module Director = Live_net.Director in
-  let module Wire = Live_net.Wire in
-  let n = !shards in
-  let sockpath i =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "itsalive-shard-%d-%d.sock" (Unix.getpid ()) i)
-  in
-  (* --fork: each shard is a real child process running its own select
-     loop on its own core — the director connects to the children's
-     sockets exactly as it would to remote hosts ({!Director.create}
-     retries for up to 10 s while the children bind).  Without --fork
-     the shards are in-process servers co-scheduled on this thread via
-     [pump_shards] (a no-op in fork mode: the children schedule
-     themselves). *)
-  let shard_pids, shard_srvs =
-    if !fork then
-      ( Array.init n (fun i ->
-            (* resolve the path before forking: [sockpath] embeds the
-               calling process's pid, and the director will connect to
-               the parent-pid name *)
-            let path = sockpath i in
-            match Unix.fork () with
-            | 0 ->
-                let srv =
-                  Server.create ~config:(net_config ()) ~batch:!batch
-                    ~socket:path (compile_version 0)
-                in
-                Server.run ~until:(fun () -> false) srv;
-                Stdlib.exit 0
-            | pid -> pid),
-        [||] )
-    else
-      ( [||],
-        Array.init n (fun i ->
-            Server.create ~config:(net_config ()) ~batch:!batch
-              ~socket:(sockpath i) (compile_version 0)) )
-  in
-  let pump_shards () =
-    Array.iter (fun s -> ignore (Server.step ~timeout:0. s)) shard_srvs
-  in
-  let dpath = sockpath 9999 in
-  let dir =
-    Director.create ~pump:pump_shards ~socket:dpath
-      ~shards:(List.init n sockpath) ()
-  in
-  let pump () =
-    pump_shards ();
-    ignore (Director.step ~timeout:0. dir)
-  in
-  (* a pump-aware admin connection for the fleet-wide control frames *)
-  let admin = Live_net.Conn.connect dpath in
-  let admin_rpc f =
-    Live_net.Conn.rpc ~pump admin (Wire.Client f) (fun () ->
-        Live_net.Conn.next admin)
-  in
-  let rngs = Array.init !sessions (fun s -> Prng.create (Prng.derive seed s)) in
-  let gen ~slot ~round:_ = to_wire_event (gen_event rngs.(slot)) in
-  let update_rounds =
-    List.init !updates (fun u -> max 1 (rounds * (u + 1) / (!updates + 1)))
-  in
-  let rebalance_round = max 1 (rounds / 2) in
-  let rebalance_count = max 1 (!sessions / 10) in
-  let version = ref 0 in
-  let on_round r =
-    if List.mem r update_rounds then begin
-      incr version;
-      match
-        admin_rpc
-          (Wire.Update
-             {
-               program =
-                 Live_net.Snapshot.program_to_string (compile_version !version);
-             })
-      with
-      | Wire.Ack _ -> ()
-      | Wire.Error { code; msg } ->
-          fail "%s: two-phase update v%d refused (%d): %s" label !version code
-            msg
-      | _ -> fail "%s: unexpected reply to Update" label
-    end;
-    if r = rebalance_round then
-      match admin_rpc (Wire.Rebalance { count = rebalance_count }) with
-      | Wire.Ack _ -> ()
-      | Wire.Error { code; msg } ->
-          fail "%s: rebalance refused (%d): %s" label code msg
-      | _ -> fail "%s: unexpected reply to Rebalance" label
-  in
-  say "%s: %d sessions over %d shards%s (%d connections), %d rounds%s\n" label
-    !sessions n
-    (if !fork then " (forked processes)" else "")
-    !conns rounds
-    (if !window > 1 then Printf.sprintf ", window %d" !window else "");
-  let t0 = Unix.gettimeofday () in
-  let result =
-    Client.run ~socket:dpath ~conns:!conns ~sessions:!sessions ~rounds ~gen
-      ~window:!window
-      ~barrier:(fun r -> List.mem r update_rounds || r = rebalance_round)
-      ~on_round ~pump ~stats:true ()
-  in
-  let dt = Unix.gettimeofday () -. t0 in
-  for _ = 1 to 50 do
-    pump ()
-  done;
-  (* the direct in-process shadow: same seeded trace, same broadcast
-     rounds, one flat fleet *)
-  let sreg = H.Registry.create ~config:(net_config ()) (compile_version 0) in
-  (match H.Registry.spawn_many sreg !sessions with
-  | Ok _ -> ()
-  | Error e ->
-      fail "shard shadow spawn failed: %s" (Live_core.Machine.error_to_string e));
-  let sched =
-    H.Scheduler.create ~policy:H.Scheduler.Round_robin ~batch:!batch sreg
-  in
-  let srngs =
-    Array.init !sessions (fun s -> Prng.create (Prng.derive seed s))
-  in
-  let sversion = ref 0 in
-  for round = 0 to rounds - 1 do
-    Array.iteri
-      (fun s rng -> ignore (H.Registry.offer sreg s (gen_event rng)))
-      srngs;
-    (match H.Scheduler.drain sched with
-    | Ok _ -> ()
-    | Error m -> fail "shard shadow drain: %s" m);
-    if List.mem round update_rounds then begin
-      incr sversion;
-      match
-        H.Broadcast.update ~typecheck:!typecheck sreg (compile_version !sversion)
-      with
-      | Ok _ -> ()
-      | Error e ->
-          fail "shard shadow broadcast v%d rejected: %s" !sversion
-            (Live_core.Machine.error_to_string e)
+  let rec go chunk =
+    let result =
+      run_wire
+        ~seed:(Prng.derive !seed (base + chunk))
+        ~detach_every
+        ~label:(Printf.sprintf "%s soak chunk %d" mode chunk)
+    in
+    if Unix.gettimeofday () -. t0 < secs then go (chunk + 1)
+    else begin
+      say "%s soak: %d chunks in %.0f s\n" mode (chunk + 1)
+        (Unix.gettimeofday () -. t0);
+      result
     end
-  done;
-  (match result with
-  | Error m -> fail "%s client: %s" label m
-  | Ok r ->
-      let p q = H.Host_metrics.quantile r.Client.latency q /. 1e6 in
-      say "%s: %d events in %.2f s (%.0f events/s end-to-end)\n" label
-        r.Client.events_sent dt
-        (float_of_int r.Client.events_sent /. dt);
-      say
-        "%s: e2e latency p50 %.3f ms  p99 %.3f ms  (%d samples, %d rejected)\n"
-        label (p 0.5) (p 0.99)
-        (H.Host_metrics.hist_count r.Client.latency)
-        r.Client.rejected);
-  let ds = Director.stats dir in
-  say
-    "%s: updates %d committed / %d rejected; rebalance moved %d sessions (%d \
-     digest checks, %d failed)\n"
-    label ds.Director.updates_committed ds.Director.updates_rejected
-    ds.Director.sessions_moved ds.Director.digest_checks
-    ds.Director.digest_failures;
-  List.iter
-    (fun (ep, k) -> say "%s:   %-40s %d sessions\n" label ep k)
-    ds.Director.per_shard;
-  if ds.Director.digest_failures > 0 then
-    fail "%s: %d rebalance digest check(s) failed" label
-      ds.Director.digest_failures;
-  check_fleet sreg (Printf.sprintf "%s (direct shadow)" label);
-  let d = Director.fleet_digest dir in
-  let sd = H.Registry.digest sreg in
-  if String.equal d sd then
-    say "%s cross-check: directed fleet and direct fleet digest-identical (%s)\n"
-      label d
-  else
-    fail
-      "%s cross-check: directed fleet digest %s <> direct fleet digest %s — \
-       sharding changed behaviour"
-      label d sd;
-  let merged_snapshot () =
-    if !fork then
-      (* the children's registries live in other processes; ask the
-         director for the fleet-merged export over the wire *)
-      match admin_rpc Wire.Stats_data with
-      | Wire.Metrics { text } -> (
-          match H.Host_metrics.import text with
-          | Ok e -> H.Host_metrics.merge_exported [ e ]
-          | Error m -> failwith ("director metrics import: " ^ m))
-      | Wire.Error { code; msg } ->
-          failwith (Printf.sprintf "director stats: error %d: %s" code msg)
-      | _ -> failwith "unexpected reply to Stats_data"
-    else
-      Array.to_list shard_srvs
-      |> List.map (fun s ->
-             match
-               H.Host_metrics.import
-                 (H.Registry.export_metrics (Server.registry s))
-             with
-             | Ok e -> e
-             | Error m -> failwith ("shard metrics import: " ^ m))
-      |> H.Host_metrics.merge_exported
   in
-  check_accounting (merged_snapshot ()) (Printf.sprintf "%s: end of run" label);
-  ( sreg,
-    {
-      dr_tick = pump;
-      dr_drain = (fun () -> Ok 0);
-      dr_update =
-        (fun code -> H.Broadcast.update ~typecheck:!typecheck sreg code);
-      dr_snapshot = merged_snapshot;
-      dr_excl = (fun f -> f ());
-      dr_shutdown =
-        (fun () ->
-          Live_net.Conn.close admin;
-          Director.stop dir;
-          Array.iter Server.stop shard_srvs;
-          Array.iter
-            (fun pid ->
-              (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid))
-            shard_pids;
-          if !fork then
-            for i = 0 to n - 1 do
-              try Unix.unlink (sockpath i) with Unix.Unix_error _ -> ()
-            done);
-    } )
-
-let run_sharded () : H.Registry.t * driver =
-  run_sharded_rounds ~seed:!seed ~rounds:!events
-    ~label:(Printf.sprintf "shards[%d]" !shards)
-
-(** Wall-clock sharded soak: complete directed cycles (fresh shard
-    servers, fresh director, seeded traffic, two-phase updates, a live
-    rebalance, the digest cross-check) back to back until the budget
-    runs out, each chunk under a fresh derived seed. *)
-let run_sharded_soak (secs : float) : H.Registry.t * driver =
-  let t0 = Unix.gettimeofday () in
-  let chunk = ref 0 in
-  let current = ref None in
-  while !chunk = 0 || Unix.gettimeofday () -. t0 < secs do
-    (match !current with Some (_, dr) -> dr.dr_shutdown () | None -> ());
-    current :=
-      Some
-        (run_sharded_rounds
-           ~seed:(Prng.derive !seed (515_151 + !chunk))
-           ~rounds:!events
-           ~label:(Printf.sprintf "shard soak chunk %d" !chunk));
-    incr chunk
-  done;
-  say "shard soak: %d chunks in %.0f s\n" !chunk (Unix.gettimeofday () -. t0);
-  Option.get !current
+  go 0
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   parse_args ();
   validate_flags ();
-  let reg, dr =
-    if !shards > 0 then
+  let snap, fleet_digest =
+    if !net || !shards > 0 then
       match !soak with
-      | Some s -> run_sharded_soak s
-      | None -> run_sharded ()
+      | Some s -> run_wire_soak s
+      | None ->
+          run_wire ~seed:!seed ~detach_every:!detach_every
+            ~label:
+              (if !shards > 0 then Printf.sprintf "shards[%d]" !shards
+               else "net")
     else
-      match (!net, !soak, !rollout_soak) with
-      | true, Some s, None -> run_net_soak s
-      | true, None, None -> run_net ()
-      | false, _, Some s -> run_rollout_soak s
-      | false, Some s, None -> run_soak s
-      | false, None, None -> run_load ()
-      | true, _, Some _ ->
-          (* rejected by validate_flags *)
-          assert false
+      let reg, dr =
+        match (!soak, !rollout_soak) with
+        | _, Some s -> run_rollout_soak s
+        | Some s, None -> run_soak s
+        | None, None -> run_load ()
+      in
+      let snap = dr.dr_snapshot () in
+      dr.dr_shutdown ();
+      (snap, if !digest then H.Registry.digest reg else "")
   in
-  let snap = dr.dr_snapshot () in
-  dr.dr_shutdown ();
   print_newline ();
   print_string (H.Host_metrics.to_string snap);
-  if !digest then Printf.printf "fleet digest: %s\n" (H.Registry.digest reg);
+  if !digest then Printf.printf "fleet digest: %s\n" fleet_digest;
   (if !rollout_soak <> None then begin
      if snap.H.Host_metrics.s_rollouts_begun = 0 then
        fail "no rollout was begun during the run";

@@ -18,6 +18,7 @@
 
 module Wire = Live_net.Wire
 module Conn = Live_net.Conn
+module Scenario = Live_net.Scenario
 module Prng = Live_core.Prng
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
@@ -38,8 +39,8 @@ let usage () =
       program version every R rounds, --rebalance-every asks a director
       to migrate --count sessions every R rounds (both land at full
       barriers whatever the window), and --verify replays the trace
-      in-process afterwards and cross-checks the fleet digest over the
-      wire
+      in-process afterwards and checks every session and every client
+      frame against it, slot by slot
   stats --socket PATH
       print the host's metrics dump (aggregated across shards when the
       socket is a director)
@@ -195,163 +196,73 @@ let app version : Live_core.Program.t =
      (Live_workloads.Synthetic.host_app ~rows:!rows ~version ()))
     .Live_surface.Compile.core
 
-(* The seeded event stream, shared between the wire client and the
-   in-process shadow replay so [--verify] consumes the prng streams
-   identically on both sides. *)
-let mk_gen () =
-  let rngs =
-    Array.init !sessions (fun s -> Prng.create (Prng.derive !seed s))
-  in
-  fun ~slot ~round:_ ->
-    let rng = rngs.(slot) in
-    if Prng.int rng 10 = 0 then Wire.Ev_back
-    else Wire.Ev_tap { x = Prng.int rng !width; y = Prng.int rng (!rows + 3) }
-
-(* Replay the exact load trace on a private single-process fleet and
-   return its digest: the ground truth a directed (or single) host
-   must match byte-for-byte. *)
-let shadow_digest () =
-  let module R = Live_host.Registry in
-  let config = { R.default_config with R.width = !width } in
-  let reg = R.create ~config (app 0) in
-  let sched = Live_host.Scheduler.create reg in
-  (match R.spawn_many reg !sessions with
-  | Ok _ -> ()
-  | Error e ->
-      die "host_client: verify: spawn: %s"
-        (Live_core.Machine.error_to_string e));
-  let gen = mk_gen () in
-  for round = 0 to !rounds - 1 do
-    for s = 0 to !sessions - 1 do
-      let ev =
-        match gen ~slot:s ~round with
-        | Wire.Ev_tap { x; y } -> R.Tap { x; y }
-        | Wire.Ev_back -> R.Back
-      in
-      ignore (R.offer reg s ev)
-    done;
-    (match Live_host.Scheduler.drain sched with Ok _ | Error _ -> ());
-    if !update_every > 0 && (round + 1) mod !update_every = 0 then
-      match
-        Live_host.Broadcast.update reg (app ((round + 1) / !update_every))
-      with
-      | Ok _ -> ()
-      | Error e ->
-          die "host_client: verify: shadow update: %s"
-            (Live_core.Machine.error_to_string e)
-  done;
-  R.digest reg
-
-let observed_digest (a : Conn.t) : string =
-  match admin_rpc a Wire.Observe with
-  | Wire.Observed { sessions = obs } ->
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun (id, o) ->
-          Buffer.add_string b (Printf.sprintf "== session %d ==\n" id);
-          Buffer.add_string b o)
-        obs;
-      Digest.to_hex (Digest.string (Buffer.contents b))
-  | Wire.Error { code; msg } ->
-      die "host_client: observe failed (%d): %s" code msg
-  | _ -> die "host_client: unexpected reply to Observe"
-
 let load () =
   require_socket ();
   if !conns = 0 then conns := min !sessions 16;
   if !conns > !sessions then conns := !sessions;
   if !window < 1 then die "host_client: --window must be >= 1";
-  if !verify && !detach_every > 0 then
-    die
-      "host_client: --verify needs stable session ids; drop --detach-every";
-  let gen = mk_gen () in
-  let admin = ref None in
-  let admin_get () =
-    match !admin with
-    | Some a -> a
-    | None ->
-        let a = admin_connect !socket in
-        admin := Some a;
-        a
+  (* every k-th round, counted from 1 *)
+  let every k =
+    if k <= 0 then []
+    else List.filter (fun r -> (r + 1) mod k = 0) (List.init !rounds Fun.id)
   in
-  let updates_sent = ref 0 and rebalances_sent = ref 0 in
-  let on_round r =
-    if !update_every > 0 && (r + 1) mod !update_every = 0 then begin
-      let v = (r + 1) / !update_every in
-      match
-        admin_rpc (admin_get ())
-          (Wire.Update { program = Live_net.Snapshot.program_to_string (app v) })
-      with
-      | Wire.Ack _ -> incr updates_sent
-      | Wire.Error { code; msg } ->
-          die "host_client: update refused (%d): %s" code msg
-      | _ -> die "host_client: unexpected reply to Update"
-    end;
-    if !rebalance_every > 0 && (r + 1) mod !rebalance_every = 0 then
-      match admin_rpc (admin_get ()) (Wire.Rebalance { count = !count }) with
-      | Wire.Ack _ -> incr rebalances_sent
-      | Wire.Error { code; msg } ->
-          die "host_client: rebalance refused (%d): %s" code msg
-      | _ -> die "host_client: unexpected reply to Rebalance"
+  let spec =
+    {
+      Scenario.config =
+        {
+          Live_host.Registry.default_config with
+          Live_host.Registry.width = !width;
+        };
+      batch = !batch;
+      program = app;
+      sessions = !sessions;
+      conns = !conns;
+      rounds = !rounds;
+      window = !window;
+      seed = !seed;
+      draw =
+        (fun rng ->
+          if Prng.int rng 10 = 0 then Live_host.Registry.Back
+          else
+            Live_host.Registry.Tap
+              { x = Prng.int rng !width; y = Prng.int rng (!rows + 3) });
+      updates = every !update_every;
+      rebalances = every !rebalance_every;
+      moves = !count;
+      detach_every = !detach_every;
+    }
   in
-  (* the rounds on_round acts at must be full barriers: broadcasts and
-     rebalances land on a quiescent fleet whatever the window *)
-  let barrier r =
-    (!update_every > 0 && (r + 1) mod !update_every = 0)
-    || (!rebalance_every > 0 && (r + 1) mod !rebalance_every = 0)
+  let fleet =
+    try Scenario.start (Scenario.External !socket) (app 0)
+    with Unix.Unix_error (e, _, _) ->
+      die "host_client: cannot connect to %s: %s" !socket (Unix.error_message e)
   in
-  let t0 = Unix.gettimeofday () in
-  match
-    Live_net.Client.run ~socket:!socket ~conns:!conns ~sessions:!sessions
-      ~rounds:!rounds ~gen ~window:!window ~barrier
-      ?detach_every:(if !detach_every > 0 then Some !detach_every else None)
-      ~on_round ~stats:true ()
-  with
-  | Error m ->
-      prerr_endline ("host_client: load failed: " ^ m);
-      exit 1
-  | Ok r ->
-      let dt = Unix.gettimeofday () -. t0 in
-      let p q =
-        Live_host.Host_metrics.quantile r.Live_net.Client.latency q /. 1e6
-      in
-      Printf.printf "load: %d sessions x %d rounds over %d connections%s\n"
-        !sessions r.Live_net.Client.rounds !conns
-        (if !window > 1 then Printf.sprintf " (window %d)" !window else "");
-      Printf.printf "load: %d events in %.2f s (%.0f events/s)\n"
-        r.Live_net.Client.events_sent dt
-        (float_of_int r.Live_net.Client.events_sent /. dt);
-      Printf.printf "load: e2e latency p50 %.3f ms  p99 %.3f ms (%d rejected)\n"
-        (p 0.5) (p 0.99) r.Live_net.Client.rejected;
-      if r.Live_net.Client.full_rows > 0 then
-        Printf.printf "load: delta rows %d vs full-repaint rows %d (%.1f%%)\n"
-          r.Live_net.Client.delta_rows r.Live_net.Client.full_rows
-          (100.
-          *. float_of_int r.Live_net.Client.delta_rows
-          /. float_of_int r.Live_net.Client.full_rows);
-      if r.Live_net.Client.detaches > 0 then
-        Printf.printf "load: %d detaches, %d resumes\n"
-          r.Live_net.Client.detaches r.Live_net.Client.resumes;
-      (match r.Live_net.Client.metrics with
-      | Some m -> print_string m
-      | None -> ());
-      if !updates_sent > 0 || !rebalances_sent > 0 then
-        Printf.printf "load: %d fleet updates, %d rebalances\n" !updates_sent
-          !rebalances_sent;
-      let ok = ref true in
-      if !verify then begin
-        let wire = observed_digest (admin_get ()) in
-        let shadow = shadow_digest () in
-        if String.equal wire shadow then
-          Printf.printf "verify: fleet digest %s matches shadow replay\n" wire
-        else begin
-          Printf.printf "verify: FLEET DIGEST MISMATCH wire %s shadow %s\n"
-            wire shadow;
-          ok := false
-        end
-      end;
-      (match !admin with Some a -> admin_close a | None -> ());
-      exit (if !ok then 0 else 1)
+  let ok =
+    match Scenario.run fleet spec with
+    | Error m ->
+        prerr_endline ("host_client: load failed: " ^ m);
+        false
+    | Ok o -> (
+        Printf.printf "load: %d sessions x %d rounds over %d connections%s\n"
+          !sessions !rounds !conns
+          (if !window > 1 then Printf.sprintf " (window %d)" !window else "");
+        List.iter (Printf.printf "load: %s\n") (Scenario.summary o);
+        print_string (Live_host.Host_metrics.to_string o.metrics);
+        if not !verify then true
+        else
+          let v = Scenario.check fleet ~shadow:(Scenario.shadow spec) o in
+          match v.problems with
+          | [] ->
+              Printf.printf "verify: fleet digest %s matches shadow replay\n"
+                v.digest;
+              true
+          | ps ->
+              print_endline "verify: FLEET MISMATCH against the shadow replay";
+              List.iter (Printf.printf "verify:   %s\n") ps;
+              false)
+  in
+  Scenario.stop fleet;
+  exit (if ok then 0 else 1)
 
 (* ---- stats ------------------------------------------------------- *)
 

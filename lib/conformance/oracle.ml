@@ -683,23 +683,13 @@ let host_net_config ~(width : int) (boot : Program.t) :
     is the ISSUE's statement that a directed N-shard fleet is
     observationally identical to a single process, event for event. *)
 
-let director_instances = ref 0
-
 let host_director_config ~(width : int) (boot : Program.t) :
     (config, string) result =
   let open Live_host in
-  let module Server = Live_net.Server in
-  let module Director = Live_net.Director in
+  let module Scenario = Live_net.Scenario in
   let module Wire = Live_net.Wire in
   let module Snapshot = Live_net.Snapshot in
   let module Conn = Live_net.Conn in
-  incr director_instances;
-  let sock i =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "live-oracle-dir-%d-%d-%d.sock" (Unix.getpid ())
-         !director_instances i)
-  in
   let cfg =
     {
       Registry.default_config with
@@ -708,26 +698,13 @@ let host_director_config ~(width : int) (boot : Program.t) :
       queue_policy = Backpressure.Reject;
     }
   in
-  let shards =
-    Array.init 2 (fun i -> Server.create ~config:cfg ~socket:(sock i) boot)
-  in
-  let pump_shards () =
-    Array.iter (fun s -> ignore (Server.step ~timeout:0. s)) shards
-  in
-  let dir =
-    Director.create ~pump:pump_shards ~socket:(sock 99)
-      ~shards:[ sock 0; sock 1 ]
-      ()
-  in
-  let pump () =
-    pump_shards ();
-    ignore (Director.step ~timeout:0. dir)
-  in
-  let conn = Conn.connect (sock 99) in
+  let fleet = Scenario.start ~config:cfg (Scenario.Directed 2) boot in
+  let pump = Scenario.pump fleet in
+  let shards = Scenario.registries fleet in
+  let conn = Conn.connect (Scenario.socket fleet) in
   let finalize () =
     Conn.close conn;
-    Director.stop dir;
-    Array.iter Server.stop shards
+    Scenario.stop fleet
   in
   let rpc (f : Wire.client_frame) : Wire.host_frame =
     Conn.rpc ~pump conn (Wire.Client f) (fun () -> Conn.next conn)
@@ -751,22 +728,19 @@ let host_director_config ~(width : int) (boot : Program.t) :
     done
   in
   let find_session () : Session.t =
-    let rec go i =
-      if i >= Array.length shards then
-        failwith "host-director: session lost"
-      else
-        let reg = Server.registry shards.(i) in
-        match Registry.ids reg with
-        | [ id ] -> Option.get (Registry.session reg id)
-        | [] -> go (i + 1)
-        | _ -> failwith "host-director: more than one session"
-    in
-    go 0
+    match
+      List.concat_map
+        (fun reg -> List.filter_map (Registry.session reg) (Registry.ids reg))
+        shards
+    with
+    | [ s ] -> s
+    | [] -> failwith "host-director: session lost"
+    | _ -> failwith "host-director: more than one session"
   in
   let taps () =
-    Array.fold_left
-      (fun (h, m) srv ->
-        let mt = Registry.metrics (Server.registry srv) in
+    List.fold_left
+      (fun (h, m) reg ->
+        let mt = Registry.metrics reg in
         (h + mt.Host_metrics.taps_hit, m + mt.Host_metrics.taps_missed))
       (0, 0) shards
   in

@@ -20,10 +20,10 @@
 open Helpers
 module Wire = Live_net.Wire
 module Snapshot = Live_net.Snapshot
-module Server = Live_net.Server
 module Client = Live_net.Client
 module Director = Live_net.Director
 module Conn = Live_net.Conn
+module Scenario = Live_net.Scenario
 module H = Live_host
 module Prng = Live_conformance.Prng
 
@@ -37,45 +37,15 @@ let prog_str p = Snapshot.program_to_string p
 let config =
   { H.Registry.default_config with H.Registry.width = 32; queue_capacity = 16 }
 
-let sock tag i =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "live-dir-%s-%d-%d.sock" tag i (Unix.getpid ()))
-
 (* ------------------------------------------------------------------ *)
 (* An in-process directed fleet                                        *)
 (* ------------------------------------------------------------------ *)
 
-type fleet = {
-  shards : Server.t array;
-  dir : Director.t;
-  dpath : string;
-  pump : unit -> unit;  (** step every shard and the director once *)
-}
+let mk_fleet ~n_shards program : Scenario.t =
+  Scenario.start ~config (Scenario.Directed n_shards) program
 
-let mk_fleet ~tag ~n_shards program : fleet =
-  let shards =
-    Array.init n_shards (fun i ->
-        Server.create ~config ~socket:(sock tag i) program)
-  in
-  let pump_shards () =
-    Array.iter (fun s -> ignore (Server.step ~timeout:0. s)) shards
-  in
-  let dpath = sock tag 999 in
-  let dir =
-    Director.create ~pump:pump_shards ~socket:dpath
-      ~shards:(List.init n_shards (sock tag))
-      ()
-  in
-  let pump () =
-    pump_shards ();
-    ignore (Director.step ~timeout:0. dir)
-  in
-  { shards; dir; dpath; pump }
-
-let stop_fleet (f : fleet) : unit =
-  Director.stop f.dir;
-  Array.iter Server.stop f.shards
+let director f = Option.get (Scenario.director f)
+let shard f i = List.nth (Scenario.registries f) i
 
 (* ------------------------------------------------------------------ *)
 (* An admin connection to the director                                 *)
@@ -137,48 +107,44 @@ let mk_gen seed sessions =
 
 let run_single ~seed ~sessions ~conns ~rounds ~update_round ~do_update :
     string =
-  let socket = sock (Printf.sprintf "single-%d" seed) 0 in
-  let srv = Server.create ~config ~socket (app 0) in
-  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
-  let reg = Server.registry srv in
+  let f = Scenario.start ~config Scenario.Single (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
   let on_round r =
-    if r = update_round && do_update then begin
-      (match H.Broadcast.update reg (app 1) with
-      | Ok _ -> ()
-      | Error e ->
+    if r = update_round && do_update then
+      match Scenario.rpc f (Wire.Update { program = prog_str (app 1) }) with
+      | Wire.Ack _ -> ()
+      | fr ->
           Alcotest.failf "single update: %s"
-            (Live_core.Machine.error_to_string e));
-      Server.mark_all_dirty srv
-    end
+            (Fmt.str "%a" Wire.pp (Wire.Host fr))
   in
   (match
-     Client.run ~socket ~conns ~sessions ~rounds ~gen:(mk_gen seed sessions)
-       ~detach_every:3 ~on_round
-       ~pump:(fun () -> ignore (Server.step ~timeout:0. srv))
-       ()
+     Client.run ~socket:(Scenario.socket f) ~conns ~sessions ~rounds
+       ~gen:(mk_gen seed sessions) ~detach_every:3 ~on_round
+       ~pump:(Scenario.pump f) ()
    with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "single client: %s" m);
-  H.Registry.digest reg
+  H.Registry.digest (List.hd (Scenario.registries f))
 
 let run_directed ~seed ~n_shards ~sessions ~conns ~rounds ~update_round
     ~fail_update ~rebalance_round : string =
-  let f = mk_fleet ~tag:(Printf.sprintf "par-%d" seed) ~n_shards (app 0) in
-  Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let admin = Conn.connect f.dpath in
+  let f = mk_fleet ~n_shards (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let pump = Scenario.pump f in
+  let admin = Conn.connect (Scenario.socket f) in
   Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
   let on_round r =
     if r = update_round then
       if fail_update then begin
         (* hold shard 1's rollout slot so its Prepare refuses: the
            two-phase must abort shard 0 and leave the fleet untouched *)
-        let reg1 = Server.registry f.shards.(1) in
+        let reg1 = shard f 1 in
         match H.Rollout.begin_ ~seed:991 reg1 (app 2) with
         | Error e ->
             Alcotest.failf "inject: %s" (Live_core.Machine.error_to_string e)
         | Ok inj ->
             let msg =
-              expect_refusal ~pump:f.pump admin
+              expect_refusal ~pump admin
                 (Wire.Update { program = prog_str (app 1) })
             in
             Alcotest.(check bool) "refusal names the all-or-nothing" true
@@ -187,18 +153,17 @@ let run_directed ~seed ~n_shards ~sessions ~conns ~rounds ~update_round
       end
       else
         ignore
-          (expect_ack ~pump:f.pump admin
-             (Wire.Update { program = prog_str (app 1) }))
+          (expect_ack ~pump admin (Wire.Update { program = prog_str (app 1) }))
     else if r = rebalance_round then
-      ignore (expect_ack ~pump:f.pump admin (Wire.Rebalance { count = 2 }))
+      ignore (expect_ack ~pump admin (Wire.Rebalance { count = 2 }))
   in
   (match
-     Client.run ~socket:f.dpath ~conns ~sessions ~rounds
-       ~gen:(mk_gen seed sessions) ~detach_every:3 ~on_round ~pump:f.pump ()
+     Client.run ~socket:(Scenario.socket f) ~conns ~sessions ~rounds
+       ~gen:(mk_gen seed sessions) ~detach_every:3 ~on_round ~pump ()
    with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "directed client: %s" m);
-  let st = Director.stats f.dir in
+  let st = Director.stats (director f) in
   Alcotest.(check int) "no strict digest failures" 0 st.Director.digest_failures;
   if not fail_update then
     Alcotest.(check int) "update committed" 1 st.Director.updates_committed
@@ -206,7 +171,7 @@ let run_directed ~seed ~n_shards ~sessions ~conns ~rounds ~update_round
     Alcotest.(check int) "update rejected" 1 st.Director.updates_rejected;
     Alcotest.(check int) "nothing committed" 0 st.Director.updates_committed
   end;
-  Director.fleet_digest f.dir
+  Director.fleet_digest (director f)
 
 let prop_director_parity =
   qcheck ~count:5 "directed fleet digests like a single process"
@@ -234,11 +199,11 @@ let prop_director_parity =
 (* ------------------------------------------------------------------ *)
 
 let test_update_atomicity () =
-  let f = mk_fleet ~tag:"atom" ~n_shards:2 (app 0) in
-  Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let admin = Conn.connect f.dpath in
+  let f = mk_fleet ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let admin = Conn.connect (Scenario.socket f) in
   Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
-  let pump = f.pump in
+  let pump = Scenario.pump f in
   (* a resident fleet, owned by this connection *)
   admin_send ~pump admin (Wire.Hello { client = "atom"; sessions = 4 });
   for _ = 1 to 4 do
@@ -246,8 +211,8 @@ let test_update_atomicity () =
     | Wire.Attach _ -> ()
     | fr -> Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
   done;
-  let reg0 = Server.registry f.shards.(0)
-  and reg1 = Server.registry f.shards.(1) in
+  let reg0 = shard f 0
+  and reg1 = shard f 1 in
   let v0 = prog_str (app 0) and v1 = prog_str (app 1) in
   (* shard 1 cannot prepare: an injected rollout holds its slot *)
   let inj =
@@ -284,7 +249,7 @@ let test_update_atomicity () =
     (prog_str (H.Registry.program reg0));
   Alcotest.(check string) "shard 1 on new program" v1
     (prog_str (H.Registry.program reg1));
-  let st = Director.stats f.dir in
+  let st = Director.stats (director f) in
   Alcotest.(check int) "one rejected" 1 st.Director.updates_rejected;
   Alcotest.(check int) "one committed" 1 st.Director.updates_committed
 
@@ -293,11 +258,11 @@ let test_update_atomicity () =
 (* ------------------------------------------------------------------ *)
 
 let test_rebalance_migration () =
-  let f = mk_fleet ~tag:"reb" ~n_shards:2 (app 0) in
-  Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let admin = Conn.connect f.dpath in
+  let f = mk_fleet ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let admin = Conn.connect (Scenario.socket f) in
   Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
-  let pump = f.pump in
+  let pump = Scenario.pump f in
   let spawn n =
     admin_send ~pump admin (Wire.Hello { client = "reb"; sessions = n });
     for _ = 1 to n do
@@ -314,7 +279,7 @@ let test_rebalance_migration () =
      correctly moves nothing.  Top up by one: an odd fleet over 2 shards
      can never be balanced, so the rebalance below must migrate. *)
   let balanced () =
-    match List.map snd (Director.stats f.dir).Director.per_shard with
+    match List.map snd (Director.stats (director f)).Director.per_shard with
     | l :: rest -> List.for_all (Int.equal l) rest
     | [] -> false
   in
@@ -332,7 +297,7 @@ let test_rebalance_migration () =
   let before = observe () in
   Alcotest.(check int) "all sessions observed" sessions (List.length before);
   let info = expect_ack ~pump admin (Wire.Rebalance { count = 3 }) in
-  let st = Director.stats f.dir in
+  let st = Director.stats (director f) in
   Alcotest.(check bool)
     (Printf.sprintf "sessions moved (%s)" info)
     true
@@ -378,10 +343,10 @@ let attach_one ~pump a client : int =
    it owns, the malformed bytes never reach a shard stream.  Another
    connection's sessions keep answering. *)
 let test_director_rejects_violations () =
-  let f = mk_fleet ~tag:"viol" ~n_shards:2 (app 0) in
-  Fun.protect ~finally:(fun () -> stop_fleet f) @@ fun () ->
-  let pump = f.pump in
-  let good = Conn.connect f.dpath in
+  let f = mk_fleet ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let pump = Scenario.pump f in
+  let good = Conn.connect (Scenario.socket f) in
   Fun.protect ~finally:(fun () -> Conn.close good) @@ fun () ->
   let ids = List.init 2 (fun _ -> attach_one ~pump good "good") in
   let host_tagged bad _ =
@@ -402,7 +367,7 @@ let test_director_rejects_violations () =
   in
   List.iter
     (fun stage_bad ->
-      let bad = Conn.connect f.dpath in
+      let bad = Conn.connect (Scenario.socket f) in
       Fun.protect ~finally:(fun () -> Conn.close bad) @@ fun () ->
       let g = attach_one ~pump bad "bad" in
       stage_bad bad g;
@@ -415,7 +380,7 @@ let test_director_rejects_violations () =
       expect_closed ~pump bad)
     [ host_tagged; bad_event ];
   Alcotest.(check int) "both violations counted" 2
-    (Director.stats f.dir).Director.corrupt;
+    (Director.stats (director f)).Director.corrupt;
   List.iter (tap_answered ~pump good) ids
 
 (* A 5 ms interval timer storms a directed run — client, director,

@@ -51,5 +51,6 @@ let () =
       ("rollout", Test_rollout.suite);
       ("net", Test_net.suite);
       ("director", Test_director.suite);
+      ("scenario", Test_scenario.suite);
       ("misc", Test_misc.suite);
     ]
