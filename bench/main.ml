@@ -737,7 +737,7 @@ let b9 () =
     run_experiment "B9: fuzz_throughput — the conformance oracle's own cost"
       "How fast the differential fuzzer burns traces: one 16-event trace \
        replayed through each configuration alone (observation included), \
-       the full 5-way differential run, and trace generation itself."
+       the full differential run over all 12, and trace generation itself."
       (Test.make_grouped ~name:"b9" tests)
   in
   List.iter
@@ -759,7 +759,7 @@ let b9 () =
     latency percentiles straight out of {!Live_host.Host_metrics}. *)
 let b10 () : jentry list =
   let module H = Live_host in
-  let module Prng = Live_conformance.Prng in
+  let module Prng = Live_core.Prng in
   let fleet_sizes = [ 1; 10; 100; 1000 ] in
   let rows_n = 6 in
   let app version =
@@ -853,7 +853,7 @@ let b10 () : jentry list =
     varies across the speedup curve is scheduling. *)
 let b11 () : jentry list =
   let module H = Live_host in
-  let module Prng = Live_conformance.Prng in
+  let module Prng = Live_core.Prng in
   let fleet = 1000 in
   let rows_n = 6 in
   let jobs_axis = [ 1; 2; 4; 8 ] in
@@ -990,7 +990,7 @@ let b12 () : jentry list =
   (* the fleet under each engine: B10's load, fleet=100 *)
   let host_eps (ev : M.evaluator) : float =
     let module H = Live_host in
-    let module Prng = Live_conformance.Prng in
+    let module Prng = Live_core.Prng in
     let rows_n = 6 in
     let k = 100 in
     let rounds = 40 in

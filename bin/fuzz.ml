@@ -52,7 +52,16 @@ let () =
         events := Some (int_of_string v);
         parse rest
     | "--configs" :: v :: rest ->
-        configs := Some (String.split_on_char ',' v);
+        let names = String.split_on_char ',' v in
+        List.iter
+          (fun n ->
+            if not (List.mem n Oracle.all_configs) then begin
+              Printf.eprintf "unknown configuration %S (known: %s)\n" n
+                (String.concat "," Oracle.all_configs);
+              usage ()
+            end)
+          names;
+        configs := Some names;
         parse rest
     | "--sabotage" :: "cache-no-flush" :: rest ->
         sabotage := Some Oracle.Cache_no_flush;

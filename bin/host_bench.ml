@@ -29,7 +29,7 @@
 
 module H = Live_host
 module Session = Live_runtime.Session
-module Prng = Live_conformance.Prng
+module Prng = Live_core.Prng
 
 let usage () =
   prerr_endline

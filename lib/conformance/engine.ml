@@ -1,3 +1,5 @@
+module Prng = Live_core.Prng
+
 let default_events = 24
 
 let gen_trace ?(n_events = default_events) ?(mutants = 2) ~(seed : int) () :

@@ -2,9 +2,9 @@
     that drives the differential oracle and the shrinker.
 
     Everything is a pure function of the seed: [gen_trace ~seed] is
-    deterministic (it uses {!Prng}, never the stdlib [Random]), and
+    deterministic (it uses {!Live_core.Prng}, never the stdlib [Random]), and
     campaign iteration [k] of master seed [s] uses the derived seed
-    {!Prng.derive}[ s k] — so any failure reproduces from one line:
+    {!Live_core.Prng.derive}[ s k] — so any failure reproduces from one line:
     [fuzz --replay-seed N]. *)
 
 val gen_trace : ?n_events:int -> ?mutants:int -> seed:int -> unit -> Ctrace.t

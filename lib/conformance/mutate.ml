@@ -1,4 +1,5 @@
 open Live_surface
+module Prng = Live_core.Prng
 
 let base_pool () : string array =
   [|

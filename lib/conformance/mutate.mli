@@ -18,11 +18,11 @@ val broken_source : string
 (** A source that must be rejected by the compiler — the
     [Broken_update] event's payload. *)
 
-val mutate : Prng.t -> string -> string option
+val mutate : Live_core.Prng.t -> string -> string option
 (** One random fixup-aware mutation of a compiling source; [None] if
     no compiling mutant was found within the attempt budget. *)
 
-val transaction : Prng.t -> string -> string option
+val transaction : Live_core.Prng.t -> string -> string option
 (** A transaction-sized change set: 2–4 stacked signature-preserving
     edits (page-body lines, fresh functions) composed into one
     compiling source — the payload of a [Begin_txn] trace event, the

@@ -1,6 +1,8 @@
 open Live_core
 module Session = Live_runtime.Session
 module Restart = Live_baseline.Restart_runtime
+module Registry = Live_host.Registry
+module Broadcast = Live_host.Broadcast
 
 type divergence = {
   step : int;
@@ -163,329 +165,6 @@ let machine_config ~(width : int) (boot : Program.t) :
           finalize = ignore;
         }
 
-(** A {!Live_runtime.Session}, in one of its cache modes and with
-    either expression engine.  [evaluator] defaults to the session
-    default (closure-compiled); the ["session"] configuration pins the
-    substitution engine so both engines stay under differential test. *)
-let session_config ~(width : int) ~(name : string) ~(incremental : bool)
-    ~(cache : bool) ?evaluator ?(sabotage : sabotage option)
-    (boot : Program.t) : (config, string) result =
-  match Session.create ~width ~incremental ~cache ?evaluator boot with
-  | Error e -> Error (err_str e)
-  | Ok s ->
-      (match sabotage with
-      | Some Cache_no_flush ->
-          Option.iter
-            (fun rc -> Render_cache.set_sabotage_no_flush rc true)
-            (Session.render_cache_handle s)
-      | None -> ());
-      let step (ev : Ctrace.event) (prog : Program.t option) =
-        match ev with
-        | Ctrace.Tap { x; y } -> (
-            match Session.tap s ~x ~y with
-            | Ok Session.Tapped -> Ok "tapped"
-            | Ok Session.No_handler -> Ok "no-handler"
-            | Error e -> Error (err_str e))
-        | Ctrace.Back -> (
-            match Session.back s with
-            | Ok () -> Ok "ok"
-            | Error e -> Error (err_str e))
-        | Ctrace.Update _ -> (
-            match prog with
-            | None -> Ok "rejected"
-            | Some code -> (
-                match Session.update s code with
-                | Ok _report -> Ok "updated"
-                | Error e -> Error (err_str e)))
-        | Ctrace.Broken_update -> Ok "rejected"
-        | Ctrace.Render ->
-            ignore (Session.screenshot s);
-            Ok "ok"
-        | Ctrace.Flush_cache ->
-            Session.flush_caches s;
-            Ok "ok"
-        | Ctrace.Drop_next ->
-            Session.inject s Session.Drop_next_event;
-            Ok "ok"
-        | Ctrace.Dup_next ->
-            Session.inject s Session.Duplicate_next_event;
-            Ok "ok"
-        | Ctrace.Begin_txn _ | Ctrace.Canary | Ctrace.Promote
-        | Ctrace.Rollback ->
-            Ok "ok" (* interpreted by {!with_txn} *)
-      in
-      Ok
-        {
-          name;
-          step;
-          observe = (fun () -> obs_of_state ~width (Session.state s));
-          invariant = (fun () -> invariant_of_state (Session.state s));
-          strict = (fun () -> true);
-          finalize = ignore;
-        }
-
-(** The multi-session host (lib/host) as a fleet of one, driven
-    end-to-end through its ingress / scheduler / broadcast pipeline: a
-    tap is offered to the bounded ingress queue and drained by a
-    scheduler tick; an update goes through the typecheck-once
-    {!Live_host.Broadcast}.  A single-session fleet must agree
-    byte-for-byte with the plain session — the scheduler batches and
-    coalesces only {e painting}, never the Fig. 9 transitions — so the
-    fuzzer's whole trace corpus covers the host subsystem for free. *)
-let host_config ~(width : int) ?jobs ?(cache = false) ?typecheck
-    (boot : Program.t) : (config, string) result =
-  let open Live_host in
-  let cfg =
-    {
-      Registry.default_config with
-      Registry.width;
-      cache;
-      (* ample headroom: the oracle ticks after every offer, so the
-         queue never fills and backpressure can never drop an event
-         (a drop would — correctly — be a divergence) *)
-      queue_capacity = 8;
-      queue_policy = Backpressure.Reject;
-    }
-  in
-  let reg = Registry.create ~config:cfg boot in
-  match Registry.spawn reg with
-  | Error e -> Error (err_str e)
-  | Ok id -> (
-      match Registry.session reg id with
-      | None -> Error "host: spawned session not found"
-      | Some s ->
-          (* [jobs = None]: the sequential batching scheduler.
-             [jobs = Some n]: the lib/host/parallel domain pool — same
-             registry, same per-session semantics, ticks fanned out
-             across domains and updates applied through the
-             stop-the-world barrier.  A fleet of one must agree
-             byte-for-byte either way, so the whole trace corpus and
-             every fuzz campaign differentially covers the parallel
-             path. *)
-          let name, tick, update, finalize =
-            match jobs with
-            | None ->
-                let sched =
-                  Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg
-                in
-                ( (if cache then "host-incr" else "host"),
-                  (fun () -> Scheduler.tick sched),
-                  (fun code -> Broadcast.update ?typecheck reg code),
-                  ignore )
-            | Some j ->
-                let pool = Parallel.create ~jobs:j ~batch:1 reg in
-                ( "host-parallel",
-                  (fun () -> Parallel.tick pool),
-                  (fun code -> Parallel.update ?typecheck pool code),
-                  fun () -> Parallel.shutdown pool )
-          in
-          let deliver (ev : Registry.uevent) : (string, string) result =
-            match Registry.offer reg id ev with
-            | Backpressure.Rejected | Backpressure.Dropped_oldest ->
-                Error "host: ingress queue refused the event"
-            | Backpressure.Accepted -> (
-                let r = tick () in
-                match r.Scheduler.errors with
-                | (_, e) :: _ -> Error (err_str e)
-                | [] ->
-                    if r.Scheduler.taps_hit > 0 then Ok "tapped"
-                    else if r.Scheduler.taps_missed > 0 then Ok "no-handler"
-                    else Ok "ok")
-          in
-          let step (ev : Ctrace.event) (prog : Program.t option) =
-            match ev with
-            | Ctrace.Tap { x; y } -> deliver (Registry.Tap { x; y })
-            | Ctrace.Back -> deliver Registry.Back
-            | Ctrace.Update _ -> (
-                match prog with
-                | None -> Ok "rejected"
-                | Some code -> (
-                    match update code with
-                    | Ok _report -> Ok "updated"
-                    | Error e -> Error (err_str e)))
-            | Ctrace.Broken_update -> Ok "rejected"
-            | Ctrace.Render ->
-                ignore (Session.screenshot s);
-                Ok "ok"
-            | Ctrace.Flush_cache ->
-                Session.flush_caches s;
-                Ok "ok"
-            | Ctrace.Drop_next ->
-                Session.inject s Session.Drop_next_event;
-                Ok "ok"
-            | Ctrace.Dup_next ->
-                Session.inject s Session.Duplicate_next_event;
-                Ok "ok"
-            | Ctrace.Begin_txn _ | Ctrace.Canary | Ctrace.Promote
-            | Ctrace.Rollback ->
-                Ok "ok" (* interpreted by {!with_txn} *)
-          in
-          Ok
-            {
-              name;
-              step;
-              observe = (fun () -> obs_of_state ~width (Session.state s));
-              invariant = (fun () -> invariant_of_state (Session.state s));
-              strict = (fun () -> true);
-              finalize;
-            })
-
-(** The staged-rollout pipeline ({!Live_host.Rollout}) as a fleet of
-    one, driven through real edit transactions: [Begin_txn] stages the
-    change set as a second live epoch (diffed, typechecked once,
-    cross-checked), [Canary] applies it to the canary cohort — which,
-    with one session, is the whole fleet — and the transaction
-    resolves by {!Live_host.Rollout.promote} or
-    {!Live_host.Rollout.rollback} per the [Begin_txn]'s recorded
-    decision.  The reference configurations interpret the same events
-    through {!with_txn}: a promoted transaction is exactly one plain
-    UPDATE, a rolled-back one is exactly nothing.  During a
-    doomed-to-roll-back canary window this configuration's state
-    legitimately differs from the reference (it {e is} running the
-    edit), so it goes non-strict for the window and byte-equality is
-    re-checked from the resolving event on — which is precisely the
-    rollback soundness statement: checkpoint + journal replay must be
-    indistinguishable from never having begun the rollout. *)
-let host_txn_config ~(width : int) (boot : Program.t) :
-    (config, string) result =
-  let open Live_host in
-  let cfg =
-    {
-      Registry.default_config with
-      Registry.width;
-      cache = true;
-      queue_capacity = 8;
-      queue_policy = Backpressure.Reject;
-    }
-  in
-  let reg = Registry.create ~config:cfg boot in
-  match Registry.spawn reg with
-  | Error e -> Error (err_str e)
-  | Ok id -> (
-      match Registry.session reg id with
-      | None -> Error "host-txn: spawned session not found"
-      | Some s ->
-          let sched =
-            Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg
-          in
-          (* the open transaction and its recorded decision; [strict]
-             drops only for a rollback-decision canary window *)
-          let txn : (Rollout.t * bool) option ref = ref None in
-          let strict = ref true in
-          let resolve () =
-            match !txn with
-            | None -> ()
-            | Some (r, promote) ->
-                txn := None;
-                (match Rollout.stage r with
-                | Rollout.Canarying when promote ->
-                    (* fleet of one, whole-fleet cohort: nothing to
-                       migrate, the promote closes the epoch *)
-                    ignore (Rollout.promote r : Broadcast.session_outcome list)
-                | Rollout.Staged | Rollout.Canarying ->
-                    (* replay errors mirror per-event errors the window
-                       already reported live; consumed exactly as the
-                       scheduler consumes them *)
-                    ignore
-                      (Rollout.rollback r
-                        : (Registry.id * Live_core.Machine.error) list)
-                | Rollout.Promoted | Rollout.Rolled_back -> ());
-                strict := true
-          in
-          let deliver (ev : Registry.uevent) : (string, string) result =
-            match Registry.offer reg id ev with
-            | Backpressure.Rejected | Backpressure.Dropped_oldest ->
-                Error "host-txn: ingress queue refused the event"
-            | Backpressure.Accepted -> (
-                let r = Scheduler.tick sched in
-                match r.Scheduler.errors with
-                | (_, e) :: _ -> Error (err_str e)
-                | [] ->
-                    if r.Scheduler.taps_hit > 0 then Ok "tapped"
-                    else if r.Scheduler.taps_missed > 0 then Ok "no-handler"
-                    else Ok "ok")
-          in
-          let step (ev : Ctrace.event) (prog : Program.t option) =
-            match ev with
-            | Ctrace.Tap { x; y } -> deliver (Registry.Tap { x; y })
-            | Ctrace.Back -> deliver Registry.Back
-            | Ctrace.Update _ -> (
-                resolve ();
-                match prog with
-                | None -> Ok "rejected"
-                | Some code -> (
-                    match
-                      Broadcast.update ~typecheck:Broadcast.Cross_check reg
-                        code
-                    with
-                    | Ok _report -> Ok "updated"
-                    | Error e -> Error (err_str e)))
-            | Ctrace.Begin_txn { promote; _ } -> (
-                match prog with
-                | None -> Ok "rejected"
-                | Some code -> (
-                    resolve ();
-                    match
-                      Rollout.begin_ ~typecheck:Broadcast.Cross_check
-                        ~fraction:1.0 ~seed:11 reg code
-                    with
-                    | Ok r ->
-                        txn := Some (r, promote);
-                        Ok "staged"
-                    | Error e -> Error (err_str e)))
-            | Ctrace.Canary -> (
-                match !txn with
-                | Some (r, promote) -> (
-                    match Rollout.stage r with
-                    | Rollout.Staged ->
-                        let _outcomes = Rollout.canary r in
-                        (* per-session fix-up outcomes are reported,
-                           not statused — exactly as a broadcast's *)
-                        if not promote then strict := false;
-                        Ok "updated"
-                    | _ -> Ok "ok")
-                | None -> Ok "ok")
-            | Ctrace.Promote | Ctrace.Rollback ->
-                resolve ();
-                Ok "ok"
-            | Ctrace.Broken_update -> Ok "rejected"
-            | Ctrace.Render ->
-                ignore (Session.screenshot s);
-                Ok "ok"
-            | Ctrace.Flush_cache ->
-                Session.flush_caches s;
-                Ok "ok"
-            | Ctrace.Drop_next ->
-                Session.inject s Session.Drop_next_event;
-                Ok "ok"
-            | Ctrace.Dup_next ->
-                Session.inject s Session.Duplicate_next_event;
-                Ok "ok"
-          in
-          let invariant () =
-            match invariant_of_state (Session.state s) with
-            | Some m -> Some m
-            | None -> (
-                (* while a rollout is open, the full side-by-side
-                   health check: cohort accounting identities, no
-                   session crossing epochs, fleet state invariants *)
-                match !txn with
-                | None -> None
-                | Some (r, _) ->
-                    let h = Rollout.observe r in
-                    if Rollout.healthy h then None
-                    else Some ("rollout unhealthy: " ^ Rollout.summary r))
-          in
-          Ok
-            {
-              name = "host-txn";
-              step;
-              observe = (fun () -> obs_of_state ~width (Session.state s));
-              invariant;
-              strict = (fun () -> !strict);
-              finalize = ignore;
-            })
-
 (** The restart baseline: structurally compared only until its first
     UPDATE (restart-and-replay intentionally loses model state) or
     queue fault (it has no injection hooks); always
@@ -534,180 +213,231 @@ let restart_config ~(width : int) (boot : Program.t) :
           finalize = ignore;
         }
 
-(** The networked host's persistence path, stressed to the maximum:
-    a fleet of one where {e every} step is followed by a full
-    detach/resume cycle through {!Live_net.Snapshot} — capture the
-    session, print the canonical snapshot text, parse it back, check
-    the re-print is byte-identical, restore, and adopt the restored
-    session into a {e fresh} registry (a fresh host process, as far as
-    the session can tell).  The snapshot text also rides through
-    {!Live_net.Wire} inside a [Resume] frame, so the binary codec's
-    round-trip is fuzzed by the same corpus.  Agreement with the
-    reference machine is exactly the ISSUE's digest-equality oracle:
-    a session that detaches and resumes after every single transition
-    must stay byte-identical to one that never detached. *)
-let host_net_config ~(width : int) (boot : Program.t) :
-    (config, string) result =
+(* ------------------------------------------------------------------ *)
+(* Fleets of one                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(** A fleet of one: a single live session behind some transport, and
+    the functions through which a tap, a back or an update reaches it.
+    {!of_fleet} turns any fleet into a configuration, so each layer
+    below says only how its transport differs. *)
+type fleet = {
+  session : unit -> Session.t;  (** the live session, wherever it is now *)
+  deliver : Registry.uevent -> (string, string) result;
+      (** ["tapped"], ["no-handler"] or ["ok"] *)
+  update : Program.t -> (string, string) result;  (** ["updated"] *)
+  settle : unit -> (unit, string) result;
+      (** run after every successful step that reached the session *)
+  stop : unit -> unit;  (** release what the fleet owns *)
+}
+
+(** The one Session-backed dispatch.  A single-session fleet must
+    agree byte-for-byte with the reference machine whatever carries
+    its events, so the fuzzer's whole trace corpus covers every
+    transport for free. *)
+let of_fleet ~(width : int) ~(name : string) (f : fleet) : config =
+  let settled = function
+    | Ok status -> Result.map (fun () -> status) (f.settle ())
+    | Error _ as e -> e
+  in
+  let at_session act =
+    act (f.session ());
+    settled (Ok "ok")
+  in
+  let step (ev : Ctrace.event) (prog : Program.t option) =
+    match ev with
+    | Ctrace.Tap { x; y } -> settled (f.deliver (Registry.Tap { x; y }))
+    | Ctrace.Back -> settled (f.deliver Registry.Back)
+    | Ctrace.Update _ -> (
+        match prog with
+        | None -> Ok "rejected"
+        | Some code -> settled (f.update code))
+    | Ctrace.Broken_update -> Ok "rejected"
+    | Ctrace.Render -> at_session (fun s -> ignore (Session.screenshot s))
+    | Ctrace.Flush_cache -> at_session Session.flush_caches
+    | Ctrace.Drop_next ->
+        (* armed on the live session; a settle that moves the session
+           must carry it along *)
+        at_session (fun s -> Session.inject s Session.Drop_next_event)
+    | Ctrace.Dup_next ->
+        at_session (fun s -> Session.inject s Session.Duplicate_next_event)
+    | Ctrace.Begin_txn _ | Ctrace.Canary | Ctrace.Promote
+    | Ctrace.Rollback ->
+        Ok "ok" (* interpreted by {!with_txn} or {!with_rollout} *)
+  in
+  {
+    name;
+    step;
+    observe = (fun () -> obs_of_state ~width (Session.state (f.session ())));
+    invariant = (fun () -> invariant_of_state (Session.state (f.session ())));
+    strict = (fun () -> true);
+    finalize = f.stop;
+  }
+
+(** Every session that runs a render cache carries the sabotage. *)
+let sabotage_session (sabotage : sabotage option) (s : Session.t) : unit =
+  match sabotage with
+  | Some Cache_no_flush ->
+      Option.iter
+        (fun rc -> Render_cache.set_sabotage_no_flush rc true)
+        (Session.render_cache_handle s)
+  | None -> ()
+
+(** A {!Live_runtime.Session} driven directly. *)
+let plain ?sabotage (s : Session.t) : fleet =
+  sabotage_session sabotage s;
+  let status word r = Result.map_error err_str (Result.map word r) in
+  {
+    session = (fun () -> s);
+    deliver =
+      (function
+      | Registry.Tap { x; y } ->
+          status
+            (function
+              | Session.Tapped -> "tapped" | Session.No_handler -> "no-handler")
+            (Session.tap s ~x ~y)
+      | Registry.Back -> status (fun () -> "ok") (Session.back s));
+    update = (fun code -> status (fun _ -> "updated") (Session.update s code));
+    settle = (fun () -> Ok ());
+    stop = ignore;
+  }
+
+(** Every hosted fleet's registry.  Ample headroom: the oracle ticks
+    after every offer, so the queue never fills and backpressure can
+    never drop an event (a drop would, correctly, be a divergence). *)
+let host_config ~(width : int) ~(cache : bool) : Registry.config =
+  {
+    Registry.default_config with
+    width;
+    cache;
+    queue_capacity = 8;
+    queue_policy = Live_host.Backpressure.Reject;
+  }
+
+(** The multi-session host (lib/host) as a fleet of one: a tap is
+    offered to the bounded ingress queue and drained by one tick, an
+    update goes through the typecheck-once {!Live_host.Broadcast}.
+    The scheduler batches and coalesces only {e painting}, never the
+    Fig. 9 transitions.  [jobs = None] ticks with the sequential
+    {!Live_host.Scheduler}; [jobs = Some n] with the
+    {!Live_host.Parallel} domain pool, whose updates go through its
+    stop-the-world barrier. *)
+let hosted ?jobs ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
+    fleet =
   let open Live_host in
+  let s = Option.get (Registry.session reg id) in
+  sabotage_session sabotage s;
+  let tick, update, stop =
+    match jobs with
+    | None ->
+        let sched =
+          Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg
+        in
+        ( (fun () -> Scheduler.tick sched),
+          (fun code -> Broadcast.update ?typecheck reg code),
+          ignore )
+    | Some jobs ->
+        let pool = Parallel.create ~jobs ~batch:1 reg in
+        ( (fun () -> Parallel.tick pool),
+          (fun code -> Parallel.update ?typecheck pool code),
+          fun () -> Parallel.shutdown pool )
+  in
+  {
+    session = (fun () -> s);
+    deliver =
+      (fun ev ->
+        match Registry.offer reg id ev with
+        | Backpressure.Rejected | Backpressure.Dropped_oldest ->
+            Error "ingress queue refused the event"
+        | Backpressure.Accepted -> (
+            let r = tick () in
+            match r.Scheduler.errors with
+            | (_, e) :: _ -> Error (err_str e)
+            | [] ->
+                if r.Scheduler.taps_hit > 0 then Ok "tapped"
+                else if r.Scheduler.taps_missed > 0 then Ok "no-handler"
+                else Ok "ok"));
+    update =
+      (fun code ->
+        match update code with
+        | Ok _report -> Ok "updated"
+        | Error e -> Error (err_str e));
+    settle = (fun () -> Ok ());
+    stop;
+  }
+
+(** The networked host's persistence path, stressed to the maximum: a
+    hosted fleet where every step is followed by a full detach/resume
+    cycle through {!Live_net.Snapshot}.  Capture the session, print the
+    canonical snapshot, carry the text through a {!Live_net.Wire}
+    [Resume] frame, parse it back, check the re-print is
+    byte-identical, restore, and adopt the restored session into a
+    {e fresh} registry (a fresh host process, as far as the session can
+    tell).  A session that detaches and resumes after every transition
+    must stay byte-identical to one that never detached. *)
+let recycled (cfg : Registry.config) ((reg, id) : Registry.t * Registry.id) :
+    fleet =
   let module Snapshot = Live_net.Snapshot in
   let module Wire = Live_net.Wire in
-  let cfg =
-    {
-      Registry.default_config with
-      Registry.width;
-      queue_capacity = 8;
-      queue_policy = Backpressure.Reject;
-    }
+  let cur = ref (hosted reg id) in
+  let ( let* ) = Result.bind in
+  let cycle () =
+    let text = Snapshot.to_string (Snapshot.of_session (!cur.session ())) in
+    let* text' =
+      let frame = Wire.Client (Wire.Resume { snapshot = text }) in
+      match Wire.decode (Wire.encode frame) with
+      | Wire.Frame (Wire.Client (Wire.Resume { snapshot }), _) -> Ok snapshot
+      | Wire.Frame _ -> Error "wire round-trip changed frame"
+      | Wire.Need_more -> Error "wire round-trip truncated"
+      | Wire.Corrupt m -> Error ("wire round-trip: " ^ m)
+    in
+    let* snap =
+      Result.map_error (( ^ ) "snapshot parse: ") (Snapshot.of_string text')
+    in
+    if not (String.equal (Snapshot.to_string snap) text) then
+      Error "snapshot re-print not byte-identical"
+    else
+      let* s = Result.map_error (( ^ ) "restore: ") (Snapshot.restore snap) in
+      let reg = Registry.create ~config:cfg (Session.state s).State.code in
+      cur := hosted reg (Registry.adopt reg s);
+      Ok ()
   in
-  let fresh (program : Program.t) = Registry.create ~config:cfg program in
-  let reg0 = fresh boot in
-  match Registry.spawn reg0 with
-  | Error e -> Error (err_str e)
-  | Ok id0 -> (
-      match Registry.session reg0 id0 with
-      | None -> Error "host-net: spawned session not found"
-      | Some s0 ->
-          let reg = ref reg0 and id = ref id0 and s = ref s0 in
-          let sched =
-            ref (Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg0)
-          in
-          (* One wire-borne detach/resume cycle: the oracle's unit of
-             coverage for the whole persistence stack. *)
-          let recycle () : (unit, string) result =
-            let snap = Snapshot.of_session !s in
-            let text = Snapshot.to_string snap in
-            let via_wire =
-              match
-                Wire.decode
-                  (Wire.encode (Wire.Client (Wire.Resume { snapshot = text })))
-              with
-              | Wire.Frame (Wire.Client (Wire.Resume { snapshot }), _) ->
-                  Ok snapshot
-              | Wire.Frame _ -> Error "host-net: wire round-trip changed frame"
-              | Wire.Need_more -> Error "host-net: wire round-trip truncated"
-              | Wire.Corrupt m -> Error ("host-net: wire round-trip: " ^ m)
-            in
-            match via_wire with
-            | Error m -> Error m
-            | Ok text' -> (
-                match Snapshot.of_string text' with
-                | Error m -> Error ("host-net: snapshot parse: " ^ m)
-                | Ok snap' ->
-                    if not (String.equal (Snapshot.to_string snap') text) then
-                      Error "host-net: snapshot re-print not byte-identical"
-                    else (
-                      match Snapshot.restore snap' with
-                      | Error m -> Error ("host-net: restore: " ^ m)
-                      | Ok s' ->
-                          let reg' =
-                            fresh (Session.state s').Live_core.State.code
-                          in
-                          let id' = Registry.adopt reg' s' in
-                          reg := reg';
-                          id := id';
-                          s := s';
-                          sched :=
-                            Scheduler.create ~policy:Scheduler.Round_robin
-                              ~batch:1 reg';
-                          Ok ()))
-          in
-          let then_recycle (r : (string, string) result) =
-            match r with
-            | Error _ as e -> e
-            | Ok status -> (
-                match recycle () with
-                | Ok () -> Ok status
-                | Error m -> Error m)
-          in
-          let deliver (ev : Registry.uevent) : (string, string) result =
-            match Registry.offer !reg !id ev with
-            | Backpressure.Rejected | Backpressure.Dropped_oldest ->
-                Error "host-net: ingress queue refused the event"
-            | Backpressure.Accepted -> (
-                let r = Scheduler.tick !sched in
-                match r.Scheduler.errors with
-                | (_, e) :: _ -> Error (err_str e)
-                | [] ->
-                    if r.Scheduler.taps_hit > 0 then Ok "tapped"
-                    else if r.Scheduler.taps_missed > 0 then Ok "no-handler"
-                    else Ok "ok")
-          in
-          let step (ev : Ctrace.event) (prog : Program.t option) =
-            match ev with
-            | Ctrace.Tap { x; y } ->
-                then_recycle (deliver (Registry.Tap { x; y }))
-            | Ctrace.Back -> then_recycle (deliver Registry.Back)
-            | Ctrace.Update _ -> (
-                match prog with
-                | None -> Ok "rejected"
-                | Some code ->
-                    then_recycle
-                      (match Broadcast.update !reg code with
-                      | Ok _report -> Ok "updated"
-                      | Error e -> Error (err_str e)))
-            | Ctrace.Broken_update -> Ok "rejected"
-            | Ctrace.Render ->
-                ignore (Session.screenshot !s);
-                then_recycle (Ok "ok")
-            | Ctrace.Flush_cache ->
-                Session.flush_caches !s;
-                then_recycle (Ok "ok")
-            | Ctrace.Drop_next ->
-                (* the armed fault must survive the detach/resume *)
-                Session.inject !s Session.Drop_next_event;
-                then_recycle (Ok "ok")
-            | Ctrace.Dup_next ->
-                Session.inject !s Session.Duplicate_next_event;
-                then_recycle (Ok "ok")
-            | Ctrace.Begin_txn _ | Ctrace.Canary | Ctrace.Promote
-            | Ctrace.Rollback ->
-                Ok "ok" (* interpreted by {!with_txn} *)
-          in
-          Ok
-            {
-              name = "host-net";
-              step;
-              observe = (fun () -> obs_of_state ~width (Session.state !s));
-              invariant = (fun () -> invariant_of_state (Session.state !s));
-              strict = (fun () -> true);
-              finalize = ignore;
-            })
+  {
+    session = (fun () -> !cur.session ());
+    deliver = (fun ev -> !cur.deliver ev);
+    update = (fun code -> !cur.update code);
+    settle = cycle;
+    stop = (fun () -> !cur.stop ());
+  }
 
-(** The shard director ({!Live_net.Director}) as a fleet of one over
-    two in-process shard servers, driven entirely over the wire — and
-    kept {e in motion}: after {e every} consumed event the session is
-    rebalanced to the other shard (detach → snapshot → wire → resume,
-    global id unchanged, strict before/after digest check inside the
-    director), and every UPDATE runs the two-phase Prepare / Commit
-    protocol across both shards.  Agreement with the reference machine
-    is the ISSUE's statement that a directed N-shard fleet is
-    observationally identical to a single process, event for event. *)
-
-let host_director_config ~(width : int) (boot : Program.t) :
-    (config, string) result =
-  let open Live_host in
+(** The shard director ({!Live_net.Director}) over two in-process shard
+    servers, driven entirely over the wire and kept {e in motion}:
+    every settle rebalances the session to the other shard (detach →
+    snapshot → wire → resume, global id unchanged, strict before/after
+    digest check inside the director), and every UPDATE runs the
+    two-phase Prepare / Commit protocol across both shards.  A directed
+    N-shard fleet must be observationally identical to a single
+    process, event for event. *)
+let directed (cfg : Registry.config) (boot : Program.t) :
+    (fleet, string) result =
   let module Scenario = Live_net.Scenario in
   let module Wire = Live_net.Wire in
-  let module Snapshot = Live_net.Snapshot in
   let module Conn = Live_net.Conn in
-  let cfg =
-    {
-      Registry.default_config with
-      Registry.width;
-      queue_capacity = 8;
-      queue_policy = Backpressure.Reject;
-    }
-  in
   let fleet = Scenario.start ~config:cfg (Scenario.Directed 2) boot in
   let pump = Scenario.pump fleet in
   let shards = Scenario.registries fleet in
   let conn = Conn.connect (Scenario.socket fleet) in
-  let finalize () =
+  let stop () =
     Conn.close conn;
     Scenario.stop fleet
   in
   let rpc (f : Wire.client_frame) : Wire.host_frame =
     Conn.rpc ~pump conn (Wire.Client f) (fun () -> Conn.next conn)
+  in
+  let unexpected what (f : Wire.host_frame) =
+    Error
+      (Printf.sprintf "host-director: unexpected %s reply: %s" what
+         (Fmt.to_to_string Wire.pp (Wire.Host f)))
   in
   (* consume repaint deltas already in flight (an UPDATE marks the
      fleet dirty) so a later reply-wait cannot be satisfied by a stale
@@ -727,7 +457,7 @@ let host_director_config ~(width : int) (boot : Program.t) :
           incr idle
     done
   in
-  let find_session () : Session.t =
+  let session () : Session.t =
     match
       List.concat_map
         (fun reg -> List.filter_map (Registry.session reg) (Registry.ids reg))
@@ -741,18 +471,24 @@ let host_director_config ~(width : int) (boot : Program.t) :
     List.fold_left
       (fun (h, m) reg ->
         let mt = Registry.metrics reg in
-        (h + mt.Host_metrics.taps_hit, m + mt.Host_metrics.taps_missed))
+        ( h + mt.Live_host.Host_metrics.taps_hit,
+          m + mt.Live_host.Host_metrics.taps_missed ))
       (0, 0) shards
   in
   match rpc (Wire.Hello { client = "oracle"; sessions = 1 }) with
   | exception e ->
-      finalize ();
+      stop ();
       Error ("host-director: " ^ Printexc.to_string e)
   | Wire.Error { msg; _ } ->
-      finalize ();
+      stop ();
       Error msg
   | Wire.Attach { session = g; _ } ->
-      let deliver (ev : Wire.event) : (string, string) result =
+      let deliver (ev : Registry.uevent) =
+        let ev =
+          match ev with
+          | Registry.Tap { x; y } -> Wire.Ev_tap { x; y }
+          | Registry.Back -> Wire.Ev_back
+        in
         let h0, m0 = taps () in
         match rpc (Wire.Event { session = g; ev }) with
         | Wire.Delta _ ->
@@ -761,13 +497,11 @@ let host_director_config ~(width : int) (boot : Program.t) :
             else if m1 > m0 then Ok "no-handler"
             else Ok "ok"
         | Wire.Error { msg; _ } -> Error msg
-        | f ->
-            Error
-              ("host-director: unexpected event reply: "
-              ^ Fmt.to_to_string Wire.pp (Wire.Host f))
+        | f -> unexpected "event" f
       in
-      let update (code : Program.t) : (string, string) result =
-        match rpc (Wire.Update { program = Snapshot.program_to_string code }) with
+      let update (code : Program.t) =
+        let program = Live_net.Snapshot.program_to_string code in
+        match rpc (Wire.Update { program }) with
         | Wire.Ack _ ->
             drain ();
             Ok "updated"
@@ -775,100 +509,42 @@ let host_director_config ~(width : int) (boot : Program.t) :
             (* unwrap the director's two-phase framing back to the
                underlying machine error so the status stays comparable
                with the reference's *)
-            let suffix = " (fleet unchanged)" in
-            let prefix = "prepare failed on " in
+            let suffix = " (fleet unchanged)"
+            and prefix = "prepare failed on " in
             let msg =
-              if String.length msg >= String.length suffix
-                 && String.equal suffix
-                      (String.sub msg
-                         (String.length msg - String.length suffix)
-                         (String.length suffix))
-              then String.sub msg 0 (String.length msg - String.length suffix)
+              if String.ends_with ~suffix msg then
+                String.sub msg 0 (String.length msg - String.length suffix)
               else msg
             in
             let msg =
-              if String.length msg > String.length prefix
-                 && String.equal prefix
-                      (String.sub msg 0 (String.length prefix))
-              then
-                match String.index_from_opt msg (String.length prefix) ':' with
-                | Some i when i + 2 <= String.length msg ->
-                    String.sub msg (i + 2) (String.length msg - i - 2)
-                | _ -> msg
-              else msg
+              match
+                if String.starts_with ~prefix msg then
+                  String.index_from_opt msg (String.length prefix) ':'
+                else None
+              with
+              | Some i when i + 2 <= String.length msg ->
+                  String.sub msg (i + 2) (String.length msg - i - 2)
+              | _ -> msg
             in
             Error msg
         | Wire.Error { msg; _ } -> Error msg
-        | f ->
-            Error
-              ("host-director: unexpected update reply: "
-              ^ Fmt.to_to_string Wire.pp (Wire.Host f))
+        | f -> unexpected "update" f
       in
-      let rebalance () : (unit, string) result =
+      let rebalance () =
         match rpc (Wire.Rebalance { count = 1 }) with
         | Wire.Ack _ ->
             drain ();
             Ok ()
         | Wire.Error { msg; _ } -> Error ("host-director: rebalance: " ^ msg)
-        | f ->
-            Error
-              ("host-director: unexpected rebalance reply: "
-              ^ Fmt.to_to_string Wire.pp (Wire.Host f))
+        | f -> unexpected "rebalance" f
       in
-      let then_rebalance (r : (string, string) result) =
-        match r with
-        | Error _ as e -> e
-        | Ok status -> (
-            match rebalance () with
-            | Ok () -> Ok status
-            | Error m -> Error m)
-      in
-      let step (ev : Ctrace.event) (prog : Program.t option) =
-        match ev with
-        | Ctrace.Tap { x; y } -> then_rebalance (deliver (Wire.Ev_tap { x; y }))
-        | Ctrace.Back -> then_rebalance (deliver Wire.Ev_back)
-        | Ctrace.Update _ -> (
-            match prog with
-            | None -> Ok "rejected"
-            | Some code -> then_rebalance (update code))
-        | Ctrace.Broken_update -> Ok "rejected"
-        | Ctrace.Render ->
-            ignore (Session.screenshot (find_session ()));
-            then_rebalance (Ok "ok")
-        | Ctrace.Flush_cache ->
-            Session.flush_caches (find_session ());
-            then_rebalance (Ok "ok")
-        | Ctrace.Drop_next ->
-            (* armed on the live session; the very next rebalance proves
-               the snapshot carries it across the shard boundary *)
-            Session.inject (find_session ()) Session.Drop_next_event;
-            then_rebalance (Ok "ok")
-        | Ctrace.Dup_next ->
-            Session.inject (find_session ()) Session.Duplicate_next_event;
-            then_rebalance (Ok "ok")
-        | Ctrace.Begin_txn _ | Ctrace.Canary | Ctrace.Promote
-        | Ctrace.Rollback ->
-            Ok "ok" (* interpreted by {!with_txn} *)
-      in
-      Ok
-        {
-          name = "host-director";
-          step;
-          observe =
-            (fun () -> obs_of_state ~width (Session.state (find_session ())));
-          invariant =
-            (fun () -> invariant_of_state (Session.state (find_session ())));
-          strict = (fun () -> true);
-          finalize;
-        }
+      Ok { session; deliver; update; settle = rebalance; stop }
   | f ->
-      finalize ();
-      Error
-        ("host-director: unexpected Hello reply: "
-        ^ Fmt.to_to_string Wire.pp (Wire.Host f))
+      stop ();
+      unexpected "Hello" f
 
 (* ------------------------------------------------------------------ *)
-(* Transaction semantics for the reference configurations              *)
+(* Transaction semantics                                               *)
 (* ------------------------------------------------------------------ *)
 
 (** What a staged rollout must be {e equivalent to}, expressed over
@@ -926,26 +602,164 @@ let with_txn (c : config) : config =
   in
   { c with step }
 
+(** The real thing {!with_txn} specifies: the staged-rollout pipeline
+    ({!Live_host.Rollout}) over the fleet of one in [reg].  [Begin_txn]
+    stages the change set as a second live epoch (diffed, typechecked
+    once, cross-checked), [Canary] applies it to the canary cohort —
+    which, with one session, is the whole fleet — and the transaction
+    resolves by {!Live_host.Rollout.promote} or
+    {!Live_host.Rollout.rollback} per the [Begin_txn]'s recorded
+    decision.  During a doomed-to-roll-back canary window the session
+    legitimately runs the edit, so the configuration goes non-strict
+    for the window and byte-equality is re-checked from the resolving
+    event on: checkpoint + journal replay must be indistinguishable
+    from never having begun the rollout. *)
+let with_rollout (reg : Registry.t) (c : config) : config =
+  let open Live_host in
+  (* the open transaction and its recorded decision; [strict] drops
+     only for a rollback-decision canary window *)
+  let txn : (Rollout.t * bool) option ref = ref None in
+  let strict = ref true in
+  let resolve () =
+    match !txn with
+    | None -> ()
+    | Some (r, promote) ->
+        txn := None;
+        (match Rollout.stage r with
+        | Rollout.Canarying when promote ->
+            (* fleet of one, whole-fleet cohort: nothing to migrate,
+               the promote closes the epoch *)
+            ignore (Rollout.promote r : Broadcast.session_outcome list)
+        | Rollout.Staged | Rollout.Canarying ->
+            (* replay errors mirror per-event errors the window
+               already reported live; consumed exactly as the
+               scheduler consumes them *)
+            ignore (Rollout.rollback r : (Registry.id * Machine.error) list)
+        | Rollout.Promoted | Rollout.Rolled_back -> ());
+        strict := true
+  in
+  let step (ev : Ctrace.event) (prog : Program.t option) =
+    match ev with
+    | Ctrace.Begin_txn { promote; _ } -> (
+        match prog with
+        | None -> Ok "rejected"
+        | Some code -> (
+            resolve ();
+            match
+              Rollout.begin_ ~typecheck:Broadcast.Cross_check ~fraction:1.0
+                ~seed:11 reg code
+            with
+            | Ok r ->
+                txn := Some (r, promote);
+                Ok "staged"
+            | Error e -> Error (err_str e)))
+    | Ctrace.Canary -> (
+        match !txn with
+        | Some (r, promote) when Rollout.stage r = Rollout.Staged ->
+            (* per-session fix-up outcomes are reported, not statused —
+               exactly as a broadcast's *)
+            ignore (Rollout.canary r : Broadcast.session_outcome list);
+            if not promote then strict := false;
+            Ok "updated"
+        | _ -> Ok "ok")
+    | Ctrace.Promote | Ctrace.Rollback ->
+        resolve ();
+        Ok "ok"
+    | Ctrace.Update _ ->
+        resolve ();
+        c.step ev prog
+    | _ -> c.step ev prog
+  in
+  let invariant () =
+    match c.invariant () with
+    | Some m -> Some m
+    | None -> (
+        (* while a rollout is open, the full side-by-side health
+           check: cohort accounting identities, no session crossing
+           epochs, fleet state invariants *)
+        match !txn with
+        | Some (r, _) when not (Rollout.healthy (Rollout.observe r)) ->
+            Some ("rollout unhealthy: " ^ Rollout.summary r)
+        | _ -> None)
+  in
+  { c with step; invariant; strict = (fun () -> !strict) }
+
+(* ------------------------------------------------------------------ *)
+(* The configurations                                                  *)
+(* ------------------------------------------------------------------ *)
+
 (** How many domains the ["host-parallel"] configuration runs: enough
     to actually cross a domain boundary, small enough that a fuzz
     campaign spawning one pool per trace stays cheap. *)
 let parallel_jobs = 2
 
-let all_configs =
+(** A hosted fleet of one on a fresh registry. *)
+let spawn (cfg : Registry.config) (boot : Program.t) :
+    (Registry.t * Registry.id, string) result =
+  let reg = Registry.create ~config:cfg boot in
+  match Registry.spawn reg with
+  | Ok id -> Ok (reg, id)
+  | Error e -> Error (err_str e)
+
+(** Every configuration, in comparison order: its name and how it
+    builds its layer stack over the trace's boot program. *)
+let table :
+    (string
+    * (name:string ->
+      width:int ->
+      sabotage option ->
+      Program.t ->
+      (config, string) result))
+    list =
+  let session ?evaluator ?(incremental = false) ?(cache = false) () ~name
+      ~width sabotage boot =
+    match Session.create ~width ~incremental ~cache ?evaluator boot with
+    | Error e -> Error (err_str e)
+    | Ok s -> Ok (of_fleet ~width ~name (plain ?sabotage s))
+  in
+  let host ?jobs ?typecheck ?(cache = false) () ~name ~width sabotage boot =
+    Result.map
+      (fun (reg, id) ->
+        of_fleet ~width ~name (hosted ?jobs ?typecheck ?sabotage reg id))
+      (spawn (host_config ~width ~cache) boot)
+  in
   [
-    "machine";
-    "session";
-    "compiled";
-    "cached";
-    "incremental";
-    "host";
-    "host-incr";
-    "host-parallel";
-    "host-txn";
-    "host-net";
-    "host-director";
-    "restart";
+    ("machine", fun ~name:_ ~width _ boot -> machine_config ~width boot);
+    (* the substitution engine: keeps the paper's evaluator under
+       differential test now that sessions default to the compiled one *)
+    ("session", session ~evaluator:Machine.Subst ());
+    ("compiled", session ~evaluator:Machine.Compiled ());
+    ("cached", session ~cache:true ());
+    ("incremental", session ~incremental:true ());
+    ("host", host ());
+    (* the O(edit) broadcast pipeline: render cache retargeted (not
+       flushed) across updates, and every UPDATE typechecked by both
+       the scratch and the incremental checker — a verdict
+       disagreement surfaces as a status divergence *)
+    ("host-incr", host ~cache:true ~typecheck:Broadcast.Cross_check ());
+    ("host-parallel", host ~jobs:parallel_jobs ());
+    ( "host-txn",
+      fun ~name ~width sabotage boot ->
+        Result.map
+          (fun (reg, id) ->
+            with_rollout reg
+              (of_fleet ~width ~name
+                 (hosted ~typecheck:Broadcast.Cross_check ?sabotage reg id)))
+          (spawn (host_config ~width ~cache:true) boot) );
+    ( "host-net",
+      fun ~name ~width _ boot ->
+        let cfg = host_config ~width ~cache:false in
+        Result.map
+          (fun fleet -> of_fleet ~width ~name (recycled cfg fleet))
+          (spawn cfg boot) );
+    ( "host-director",
+      fun ~name ~width _ boot ->
+        Result.map (of_fleet ~width ~name)
+          (directed (host_config ~width ~cache:false) boot) );
+    ("restart", fun ~name:_ ~width _ boot -> restart_config ~width boot);
   ]
+
+let all_configs = List.map fst table
 
 (* ------------------------------------------------------------------ *)
 (* The differential run                                                *)
@@ -955,6 +769,11 @@ let default_width = 46
 
 let run ?(width = default_width) ?(configs = all_configs) ?sabotage
     (trace : Ctrace.t) : outcome =
+  List.iter
+    (fun n ->
+      if not (List.mem_assoc n table) then
+        invalid_arg (Printf.sprintf "Oracle.run: unknown configuration %S" n))
+    configs;
   if Array.length trace.Ctrace.pool = 0 then Boot_failed "empty program pool"
   else
     (* one compilation per distinct source, shared by every
@@ -977,49 +796,11 @@ let run ?(width = default_width) ?(configs = all_configs) ?sabotage
     match compile 0 with
     | None -> Boot_failed "boot program does not compile"
     | Some boot -> (
-        let mk name =
-          match name with
-          | "machine" -> machine_config ~width boot
-          | "session" ->
-              (* the substitution engine, uncached: keeps the paper's
-                 evaluator under differential test now that sessions
-                 default to the compiled one *)
-              session_config ~width ~name ~incremental:false ~cache:false
-                ~evaluator:Machine.Subst boot
-          | "compiled" ->
-              (* the closure-compiled engine (the session default),
-                 uncached: diffed per step against the substitution
-                 machine reference *)
-              session_config ~width ~name ~incremental:false ~cache:false
-                ~evaluator:Machine.Compiled boot
-          | "cached" ->
-              session_config ~width ~name ~incremental:false ~cache:true
-                ?sabotage boot
-          | "incremental" ->
-              session_config ~width ~name ~incremental:true ~cache:false boot
-          | "host" -> host_config ~width boot
-          | "host-incr" ->
-              (* the O(edit) broadcast pipeline, end to end: render
-                 cache retargeted (not flushed) across updates, and
-                 every UPDATE typechecked by {e both} the scratch and
-                 the incremental checker ([Cross_check]) — a verdict
-                 disagreement rejects the broadcast and surfaces here
-                 as a status divergence, so every fuzzed [Mutate] edit
-                 cross-checks the two checkers *)
-              host_config ~width ~cache:true
-                ~typecheck:Live_host.Broadcast.Cross_check boot
-          | "host-parallel" -> host_config ~width ~jobs:parallel_jobs boot
-          | "host-txn" -> host_txn_config ~width boot
-          | "host-net" -> host_net_config ~width boot
-          | "host-director" -> host_director_config ~width boot
-          | "restart" -> restart_config ~width boot
-          | other -> Error (Printf.sprintf "unknown configuration %S" other)
-        in
         (* every configuration but the rollout pipeline itself gets the
            reference transaction semantics layered on top *)
         let mk name =
-          if String.equal name "host-txn" then mk name
-          else Result.map with_txn (mk name)
+          let c = (List.assoc name table) ~name ~width sabotage boot in
+          if String.equal name "host-txn" then c else Result.map with_txn c
         in
         let boots = List.map (fun n -> (n, mk n)) configs in
         (* whatever happens below — agreement, divergence, an

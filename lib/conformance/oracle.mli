@@ -1,62 +1,58 @@
 (** The differential oracle: one trace, several semantic
     configurations, structural diffing after every step.
 
-    Configurations (all driving the same Fig. 9 transition system):
+    Every configuration drives the same Fig. 9 transition system.  The
+    reference is the uncached {!Live_core.Machine} with its own
+    hit-testing; the restart baseline has no session to act on.  Every
+    other configuration is a {e fleet of one} — a single live
+    {!Live_runtime.Session} behind some transport — and one dispatch
+    turns any such fleet into a configuration, so each layer says only
+    how its transport differs:
 
-    - ["machine"]   — the uncached {!Live_core.Machine} driven
-      directly, with its own hit-testing (the reference);
-    - ["session"]   — {!Live_runtime.Session} with no caches;
-    - ["cached"]    — Session with the end-to-end incremental render
-      pipeline (dependency-tracked memoization, layout reuse, damage
-      repainting);
-    - ["incremental"] — Session with the Sec. 5 structural layout
-      cache;
-    - ["host"]      — a {!Live_host} fleet of one, driven end-to-end
-      through its ingress queue, batching scheduler and typecheck-once
-      broadcast; must agree byte-for-byte with the plain session;
-    - ["host-incr"] — the same fleet of one with the O(edit) broadcast
-      pipeline fully on: render cache enabled and {e retargeted} (not
-      flushed) across updates, targeted fix-up, incremental
-      compilation, and every UPDATE typechecked by both the scratch
-      and the incremental checker
-      ({!Live_host.Broadcast.typecheck_mode} [Cross_check]) — a
-      verdict disagreement rejects the broadcast and shows up as a
-      status divergence, so every golden trace and fuzzed [Mutate]
-      edit differentially verifies the incremental pipeline;
-    - ["host-parallel"] — the same fleet of one executed by the
-      {!Live_host.Parallel} domain pool (2 domains): taps drain
-      through the parallel tick's shard assignment and barrier,
-      updates through the stop-the-world broadcast.  Covering it here
-      means every golden trace and every fuzz campaign differentially
-      checks the multicore host against the reference machine,
-      byte-for-byte;
-    - ["host-txn"]  — the transactional staged-rollout pipeline
-      ({!Live_host.Rollout}) as a fleet of one, driven through real
-      edit transactions: [Begin_txn] stages the change set as a second
-      live epoch (diffed, typechecked once, cross-checked), [Canary]
-      applies it to the (whole-fleet) canary cohort, and the
-      transaction resolves by promote or rollback per the recorded
-      decision.  Every other configuration interprets the same events
-      through the reference transaction semantics: a promoted
+    - [plain]: the session driven directly;
+    - [hosted]: a {!Live_host.Registry} fleet of one — a tap is offered
+      to the bounded ingress queue and drained by one tick of the
+      {!Live_host.Scheduler} (batch 1, round-robin) or of a 2-domain
+      {!Live_host.Parallel} pool, an update goes through the
+      typecheck-once {!Live_host.Broadcast};
+    - [recycled]: a hosted fleet that detaches and resumes after every
+      step: {!Live_net.Snapshot}, a {!Live_net.Wire} [Resume]
+      round-trip, a byte-identical re-print check, restore, and
+      adoption into a fresh registry;
+    - [directed]: two in-process shards behind a {!Live_net.Director},
+      driven over the wire, rebalancing the session after every step;
+      every UPDATE is a two-phase commit;
+    - [with_txn]: the reference edit-transaction semantics — a promoted
       transaction is exactly one plain UPDATE, a rolled-back one is
-      exactly nothing.  During a doomed-to-roll-back canary window
-      this configuration legitimately runs the edit, so it is compared
-      non-strictly for the window; byte-equality resumes at the
-      resolving event — the rollback soundness statement (checkpoint +
-      journal replay ≡ never rolled out) checked on every trace;
-    - ["host-net"]  — the networked host's persistence stack: a fleet
-      of one where every step is followed by a full detach/resume
-      cycle — the session is captured as a canonical
-      {!Live_net.Snapshot}, the text rides through a {!Live_net.Wire}
-      [Resume] frame, is parsed back (re-print byte-identical), and
-      the restored session is adopted into a fresh registry as a fresh
-      host process would.  Byte-agreement with the reference machine
-      is the ISSUE's digest-equality statement: detach/resume after
-      every single transition must be observationally invisible;
-    - ["restart"]   — the {!Live_baseline.Restart_runtime}
-      edit-compile-run baseline; compared strictly until the first
-      UPDATE or queue fault (after which its semantics intentionally
-      differ), invariant-checked throughout.
+      exactly nothing;
+    - [with_rollout]: real transactions through {!Live_host.Rollout};
+      non-strict during a canary window whose decision is rollback,
+      then byte-equal again from the resolving event (checkpoint +
+      journal replay ≡ never rolled out).
+
+    {v
+    name           layer stack
+    machine        with_txn (Machine, own hit-testing)      the reference
+    session        with_txn (plain Session)                 substitution engine
+    compiled       with_txn (plain Session)                 compiled engine
+    cached         with_txn (plain Session, render cache)
+    incremental    with_txn (plain Session, Sec. 5 layout cache)
+    host           with_txn (hosted, Scheduler)
+    host-incr      with_txn (hosted, Scheduler, render cache, Cross_check)
+    host-parallel  with_txn (hosted, 2-domain Parallel pool)
+    host-txn       with_rollout (hosted, Scheduler, render cache, Cross_check)
+    host-net       with_txn (recycled (hosted, Scheduler))
+    host-director  with_txn (directed, 2 shards)
+    restart        with_txn (Restart_runtime)
+    v}
+
+    [Cross_check] typechecks every UPDATE with both the scratch and
+    the incremental checker; a verdict disagreement rejects the
+    broadcast and shows up as a status divergence.  The restart
+    baseline is compared strictly until its first UPDATE or queue
+    fault (after which its semantics intentionally differ) and
+    invariant-checked throughout.  [fuzz --configs machine,NAME]
+    isolates one layer stack against the reference.
 
     After every event the oracle compares, per configuration: the
     step status, the store, the page stack, the display box tree, and
@@ -86,6 +82,7 @@ type sabotage =
           to prove the oracle catches a broken cache *)
 
 val all_configs : string list
+(** Every configuration name, in the table's order. *)
 
 val run :
   ?width:int ->
@@ -95,7 +92,10 @@ val run :
   outcome
 (** Replay the trace through the named configurations (default: all).
     The first named configuration is the comparison reference;
-    ["machine"] leads the default list. *)
+    ["machine"] leads the default list.  The sabotage reaches every
+    configuration whose session runs a render cache.
+    @raise Invalid_argument naming a configuration not in
+    {!all_configs}, before anything boots. *)
 
 val pp_divergence : Format.formatter -> divergence -> unit
 (** The pretty-printed delta: step, event, configuration, field, and

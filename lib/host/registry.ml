@@ -17,7 +17,6 @@ let pp_uevent ppf = function
 type config = {
   width : int;
   fuel : int option;
-  incremental : bool;
   cache : bool;
   evaluator : Machine.evaluator;
       (** expression engine for every session; [Compiled] shares one
@@ -31,7 +30,6 @@ let default_config =
   {
     width = 48;
     fuel = None;
-    incremental = false;
     cache = false;
     evaluator = Machine.Compiled;
     queue_capacity = 64;
@@ -98,8 +96,7 @@ let create ?(config = default_config) (program : Live_core.Program.t) : t =
 
 let spawn (t : t) : (id, Machine.error) result =
   match
-    Session.create ~width:t.cfg.width ?fuel:t.cfg.fuel
-      ~incremental:t.cfg.incremental ~cache:t.cfg.cache
+    Session.create ~width:t.cfg.width ?fuel:t.cfg.fuel ~cache:t.cfg.cache
       ~evaluator:t.cfg.evaluator t.program
   with
   | Error e -> Error e
@@ -408,17 +405,25 @@ let observe_session (s : Session.t) : string =
   in
   store ^ "\n--\n" ^ stack ^ "\n--\n" ^ Session.screenshot s
 
-let digest (t : t) : string =
+let digest_of (observations : (id * string) list) : string =
   let b = Buffer.create 4096 in
   List.iter
-    (fun id ->
-      match Hashtbl.find_opt t.entries id with
-      | None -> ()
-      | Some e ->
-          Buffer.add_string b (Printf.sprintf "== session %d ==\n" id);
-          Buffer.add_string b (observe_session e.session))
-    t.order;
+    (fun (id, o) ->
+      Buffer.add_string b (Printf.sprintf "== session %d ==\n" id);
+      Buffer.add_string b o)
+    observations;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest_ids (t : t) (ids : id list) : string =
+  digest_of
+    (List.filter_map
+       (fun id ->
+         Option.map
+           (fun e -> (id, observe_session e.session))
+           (Hashtbl.find_opt t.entries id))
+       ids)
+
+let digest (t : t) : string = digest_ids t t.order
 
 (** {!digest} restricted to a cohort.  Iterates [t.order] (not the
     argument), so the same sessions always digest in the same order
@@ -426,17 +431,7 @@ let digest (t : t) : string =
 let digest_cohort (t : t) (cohort : id list) : string =
   let member = Hashtbl.create (List.length cohort * 2) in
   List.iter (fun id -> Hashtbl.replace member id ()) cohort;
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun id ->
-      if Hashtbl.mem member id then
-        match Hashtbl.find_opt t.entries id with
-        | None -> ()
-        | Some e ->
-            Buffer.add_string b (Printf.sprintf "== session %d ==\n" id);
-            Buffer.add_string b (observe_session e.session))
-    t.order;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  digest_ids t (List.filter (Hashtbl.mem member) t.order)
 
 (* ------------------------------------------------------------------ *)
 (* Cohort accounting                                                   *)

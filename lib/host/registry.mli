@@ -21,7 +21,6 @@ val pp_uevent : Format.formatter -> uevent -> unit
 type config = {
   width : int;  (** display width of every session *)
   fuel : int option;  (** evaluator fuel ([None] = default) *)
-  incremental : bool;  (** Sec. 5 layout cache *)
   cache : bool;  (** the end-to-end incremental render pipeline *)
   evaluator : Live_core.Machine.evaluator;
       (** expression engine for every session (default [Compiled]:
@@ -193,6 +192,13 @@ val digest_cohort : t -> id list -> string
 (** {!digest} restricted to a cohort (always hashed in id order,
     whatever order the list is in) — the canary-vs-shadow comparison
     unit during staged rollouts. *)
+
+val digest_of : (id * string) list -> string
+(** The digest format itself: MD5 over ["== session N ==\n"] followed
+    by that session's {!observe_session} text, for each pair in list
+    order.  {!digest} is [digest_of] over the fleet in id order; a
+    director or a wire client that gathered the same observations
+    digests them with this, byte-compatibly. *)
 
 (** {1 Cohort accounting}
 

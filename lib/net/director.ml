@@ -317,19 +317,10 @@ let observe_fleet (t : t) : (int * string) list =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) all
 
-(* Byte-compatible with {!Live_host.Registry.digest}: same per-session
-   header, same id order (global ids are dense and spawn-ordered, like
-   a single registry's). *)
-let digest_of_observations (obs : (int * string) list) : string =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (g, o) ->
-      Buffer.add_string b (Printf.sprintf "== session %d ==\n" g);
-      Buffer.add_string b o)
-    obs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let fleet_digest (t : t) : string = digest_of_observations (observe_fleet t)
+(* global ids are dense and spawn-ordered, like a single registry's, so
+   this is byte-compatible with {!Live_host.Registry.digest} *)
+let fleet_digest (t : t) : string =
+  Live_host.Registry.digest_of (observe_fleet t)
 
 let shard_exports (t : t) : Host_metrics.exported list =
   broadcast_rpc t Wire.Stats_data (fun sh -> function
@@ -505,8 +496,8 @@ let rebalance (t : t) (count : int) : (string, string) result =
      with Exit -> ());
     let after = observe_fleet t in
     let strict = quiescent && not !carried in
-    let db = digest_of_observations before
-    and da = digest_of_observations after in
+    let db = Live_host.Registry.digest_of before
+    and da = Live_host.Registry.digest_of after in
     if strict then begin
       t.d_digest_checks <- t.d_digest_checks + 1;
       if not (String.equal db da) then begin

@@ -262,13 +262,6 @@ let shadow (spec : spec) : string array =
 
 type verdict = { digest : string; problems : string list }
 
-(* Byte-compatible with {!Live_host.Registry.digest}. *)
-let digest_of (observed : (int * string) list) : string =
-  observed
-  |> List.concat_map (fun (id, o) ->
-         [ Printf.sprintf "== session %d ==\n" id; o ])
-  |> String.concat "" |> Digest.string |> Digest.to_hex
-
 (* The painted pixels: what follows the observation's second "\n--\n"
    ({!Live_host.Registry.observe_session}). *)
 let pixels (obs : string) : string option =
@@ -308,7 +301,7 @@ let check (t : t) ~(shadow : string array) (o : outcome) : verdict =
         o.report.session_ids;
       let problems = List.rev !problems and more = List.length !problems - 5 in
       {
-        digest = digest_of observed;
+        digest = Registry.digest_of observed;
         problems =
           (if more <= 0 then problems
            else

@@ -22,8 +22,8 @@ module SS = Ast.StringSet
     produce a compiling program (the pool member itself always does). *)
 let mutant_core (seed : int) : Program.t option =
   let pool = Conf.Mutate.base_pool () in
-  let rng = Conf.Prng.create seed in
-  let src = pool.(Conf.Prng.int rng (Array.length pool)) in
+  let rng = Live_core.Prng.create seed in
+  let src = pool.(Live_core.Prng.int rng (Array.length pool)) in
   let src =
     List.fold_left
       (fun s _ ->

@@ -6,6 +6,7 @@
 
 open Live_conformance
 open Helpers
+module Prng = Live_core.Prng
 
 (* -- the oracle on the real system --------------------------------- *)
 
@@ -162,6 +163,31 @@ let test_golden_sabotage_witness () =
   | Oracle.Agreed -> Alcotest.fail "sabotage not caught by the witness"
   | Oracle.Boot_failed m -> Alcotest.failf "boot failed: %s" m
 
+(* every configuration whose session runs a render cache is sensitive
+   on its own, not only ["cached"] *)
+let test_sabotage_reaches_every_cache () =
+  let t = load_golden "cache_stale_render" in
+  List.iter
+    (fun c ->
+      match
+        Oracle.run ~configs:[ "machine"; c ] ~sabotage:Oracle.Cache_no_flush t
+      with
+      | Oracle.Diverged d ->
+          Alcotest.(check string) (c ^ " is named") c d.Oracle.config;
+          Alcotest.(check string) (c ^ " field") "display" d.Oracle.field
+      | Oracle.Agreed -> Alcotest.failf "%s: sabotage not caught" c
+      | Oracle.Boot_failed m -> Alcotest.failf "%s: boot failed: %s" c m)
+    [ "cached"; "host-incr"; "host-txn" ]
+
+(* a misspelled name must not boot-fail silently into a check of
+   nothing *)
+let test_unknown_config_refused () =
+  match
+    Oracle.run ~configs:[ "machine"; "host-inc" ] (load_golden "update_storm")
+  with
+  | exception Invalid_argument m -> check_contains "names it" m "\"host-inc\""
+  | _ -> Alcotest.fail "an unknown configuration name was accepted"
+
 (* -- the mutator --------------------------------------------------- *)
 
 let prop_mutants_compile =
@@ -215,6 +241,9 @@ let suite =
     case "pool garbage collection renumbers updates" test_gc_pool;
     slow_case "golden traces replay and agree" test_golden_replay;
     case "the cache witness still bites" test_golden_sabotage_witness;
+    case "the cache witness bites every render-cache configuration"
+      test_sabotage_reaches_every_cache;
+    case "unknown configuration names are refused" test_unknown_config_refused;
     prop_mutants_compile;
     case "shrinker simplifications compile" test_simplifications_compile;
     case "the seeded prng stream is pinned" test_prng_stable;

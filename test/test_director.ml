@@ -25,7 +25,7 @@ module Director = Live_net.Director
 module Conn = Live_net.Conn
 module Scenario = Live_net.Scenario
 module H = Live_host
-module Prng = Live_conformance.Prng
+module Prng = Live_core.Prng
 
 let app version : Live_core.Program.t =
   (Live_workloads.Synthetic.compile_exn

@@ -1,16 +1,18 @@
 (** Fuzzing the live environment through the conformance harness
     ([lib/conformance]): random seeded traces — taps, backs, live
     edits, update storms, broken edits, cache flushes and queue
-    faults — are replayed through every semantic configuration
-    (uncached machine, plain/cached/incremental sessions, restart
-    baseline) and must agree on store, page stack, display tree and
-    pixels after every step, with every state well-typed and stable.
+    faults — are replayed through every configuration in
+    {!Live_conformance.Oracle.all_configs} (the uncached machine, the
+    restart baseline, and every layer stack over a fleet of one) and
+    must agree on store, page stack, display tree and pixels after
+    every step, with every state well-typed and stable.
     This subsumes the old ad-hoc action generator: the oracle checks
     equivalence across implementations, not just "never crashes"
     (Sec. 4.2's "the system is always live"). *)
 
 open Live_conformance
 open Live_runtime
+module Prng = Live_core.Prng
 
 (** One-line reproduction: any failing seed here replays with
     [dune exec bin/fuzz.exe -- --replay-seed N]. *)

@@ -28,7 +28,7 @@ module Wire = Live_net.Wire
 module Snapshot = Live_net.Snapshot
 module H = Live_host
 module Session = Live_runtime.Session
-module Prng = Live_conformance.Prng
+module Prng = Live_core.Prng
 
 let app version : Live_core.Program.t =
   (Live_workloads.Synthetic.compile_exn

@@ -9,7 +9,7 @@
 open Helpers
 module H = Live_host
 module Session = Live_runtime.Session
-module Prng = Live_conformance.Prng
+module Prng = Live_core.Prng
 
 let rows = 4
 let width = 32

@@ -7,7 +7,6 @@
 open Live_core
 open Helpers
 module Mutate = Live_conformance.Mutate
-module Prng = Live_conformance.Prng
 module Session = Live_runtime.Session
 
 let core (src : string) : Program.t =

@@ -16,7 +16,7 @@
 open Helpers
 module H = Live_host
 module Machine = Live_core.Machine
-module Prng = Live_conformance.Prng
+module Prng = Live_core.Prng
 
 let rows = 4
 let width = 32
