@@ -318,6 +318,9 @@ let director () =
     s.Live_net.Director.updates_committed s.Live_net.Director.updates_rejected
     s.Live_net.Director.rebalances s.Live_net.Director.sessions_moved
     s.Live_net.Director.digest_checks s.Live_net.Director.digest_failures;
+  Printf.printf "host_client: 2PC %d txns, p50 %.2f ms, p99 %.2f ms\n"
+    s.Live_net.Director.txns s.Live_net.Director.txn_p50_ms
+    s.Live_net.Director.txn_p99_ms;
   exit (if s.Live_net.Director.digest_failures = 0 then 0 else 1)
 
 (* ---- rebalance --------------------------------------------------- *)

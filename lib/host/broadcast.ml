@@ -67,7 +67,7 @@ let run_typecheck (mode : typecheck_mode) ~(old_checked : bool)
                     | Error e -> "rejected (" ^ Machine.error_to_string e ^ ")"))),
             false )
 
-let update ?(clock = Unix.gettimeofday) ?(typecheck = Incremental)
+let update ?(typecheck = Incremental)
     (reg : Registry.t) (new_code : Live_core.Program.t) :
     (report, Machine.error) result =
   let m = Registry.metrics reg in
@@ -83,14 +83,14 @@ let update ?(clock = Unix.gettimeofday) ?(typecheck = Incremental)
   else
   let old_code = Registry.program reg in
   let old_checked = Registry.program_checked reg in
-  let t_diff = clock () in
+  let t_diff = Host_metrics.now () in
   let diff = Program_diff.diff ~old_prog:old_code new_code in
-  let diff_ns = (clock () -. t_diff) *. 1e9 in
-  let t_check = clock () in
+  let diff_ns = (Host_metrics.now () -. t_diff) *. 1e9 in
+  let t_check = Host_metrics.now () in
   let verdict, use_diff =
     run_typecheck typecheck ~old_checked ~diff new_code
   in
-  let typecheck_ns = (clock () -. t_check) *. 1e9 in
+  let typecheck_ns = (Host_metrics.now () -. t_check) *. 1e9 in
   m.Host_metrics.typecheck_last_ns <- typecheck_ns;
   m.Host_metrics.diff_last_ns <- diff_ns;
   m.Host_metrics.dirty_defs_last <- Program_diff.dirty_count diff;
@@ -115,7 +115,7 @@ let update ?(clock = Unix.gettimeofday) ?(typecheck = Incremental)
          the compilation itself is incremental: only the dirty
          definitions are recompiled, the rest keep their closures and
          memoization site ids. *)
-      let t_compile = clock () in
+      let t_compile = Host_metrics.now () in
       (if (Registry.config reg).Registry.evaluator = Machine.Compiled then
          if use_diff then
            ignore
@@ -124,9 +124,9 @@ let update ?(clock = Unix.gettimeofday) ?(typecheck = Incremental)
          else
            ignore (Live_core.Compile_eval.get new_code
                     : Live_core.Compile_eval.t));
-      let compile_ns = (clock () -. t_compile) *. 1e9 in
+      let compile_ns = (Host_metrics.now () -. t_compile) *. 1e9 in
       m.Host_metrics.compile_last_ns <- compile_ns;
-      let t0 = clock () in
+      let t0 = Host_metrics.now () in
       let diff_opt = if use_diff then Some diff else None in
       let outcomes =
         List.map
@@ -141,7 +141,7 @@ let update ?(clock = Unix.gettimeofday) ?(typecheck = Incremental)
           (Registry.ids reg)
       in
       Registry.set_program reg new_code;
-      let fanout_ns = (clock () -. t0) *. 1e9 in
+      let fanout_ns = (Host_metrics.now () -. t0) *. 1e9 in
       m.Host_metrics.updates_applied <- m.Host_metrics.updates_applied + 1;
       m.Host_metrics.fanout_last_ns <- fanout_ns;
       Host_metrics.record m.Host_metrics.update_fanout fanout_ns;

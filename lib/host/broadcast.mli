@@ -49,7 +49,7 @@ type typecheck_mode =
 
 type report = {
   outcomes : session_outcome list;  (** in spawn order *)
-  fanout_ns : float;  (** wall-clock time to update the whole fleet *)
+  fanout_ns : float;  (** elapsed time to update the whole fleet *)
   typecheck_ns : float;  (** the typecheck phase (whichever mode ran) *)
   diff_ns : float;  (** computing the program diff *)
   compile_ns : float;  (** priming the shared compilation *)
@@ -77,7 +77,6 @@ val run_typecheck :
     stages. *)
 
 val update :
-  ?clock:(unit -> float) ->
   ?typecheck:typecheck_mode ->
   Registry.t ->
   Live_core.Program.t ->
@@ -85,10 +84,10 @@ val update :
 (** Apply the edit to the whole fleet.  [Error] means the new code
     failed its typecheck and {e every} session is untouched (the
     registry's shared program is unchanged too).  [typecheck] defaults
-    to [Incremental].  [clock] is in seconds ([Unix.gettimeofday] by
-    default); the measured per-phase times land in the registry's
-    {!Host_metrics} (typecheck / diff / compile last-ns, dirty and
-    recheck set sizes, incremental-vs-scratch broadcast counters).
+    to [Incremental].  The measured per-phase times land in the
+    registry's {!Host_metrics} (typecheck / diff / compile last-ns,
+    dirty and recheck set sizes, incremental-vs-scratch broadcast
+    counters).
     While a staged rollout is open the broadcast refuses with
     [Not_enabled] (and counts an [updates_rejected]): resolve the
     rollout first. *)

@@ -1,6 +1,8 @@
 (** Fleet-wide counters and latency histograms (see the interface for
     the accounting identity the soak job enforces). *)
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)

@@ -12,6 +12,11 @@
     must hold at every quiescent point; {!accounting_ok} checks it and
     the CI soak job fails on a mismatch. *)
 
+val now : unit -> float
+(** Seconds on the monotonic clock, from an arbitrary origin: every
+    duration the host measures is a difference of two [now]s, so a
+    wall-clock step cannot bend one. *)
+
 (** {1 Latency histograms} *)
 
 type histogram

@@ -38,7 +38,6 @@ type t = {
   reg : Registry.t;
   jobs : int;
   batch : int;
-  clock : unit -> float;
   shards : shard array;  (** length [jobs]; index 0 = coordinator *)
   mutable workers : unit Domain.t list;  (** the [jobs - 1] spawned domains *)
   lock : Mutex.t;  (** guards [epoch], [unfinished], [stopping] *)
@@ -65,7 +64,7 @@ let process_shard (t : t) (sh : shard) : unit =
   match sh.assigned with
   | [] -> ()
   | ids ->
-      let t0 = t.clock () in
+      let t0 = Host_metrics.now () in
       List.iter
         (fun id ->
           (* the barrier property, checked from the worker side: a
@@ -81,7 +80,7 @@ let process_shard (t : t) (sh : shard) : unit =
           sh.d_errors <-
             List.rev_append sv.Scheduler.sv_errors sh.d_errors)
         ids;
-      let dt_ns = (t.clock () -. t0) *. 1e9 in
+      let dt_ns = (Host_metrics.now () -. t0) *. 1e9 in
       (* lifetime per-domain accounting; merged into fleet totals by
          {!snapshot} *)
       let m = sh.metrics in
@@ -124,14 +123,13 @@ let worker_loop (t : t) (i : int) : unit =
 (* ------------------------------------------------------------------ *)
 
 let create ?jobs:(j = Domain.recommended_domain_count ())
-    ?(batch = 8) ?(clock = Unix.gettimeofday) (reg : Registry.t) : t =
+    ?(batch = 8) (reg : Registry.t) : t =
   let jobs = max 1 (min 64 j) in
   let t =
     {
       reg;
       jobs;
       batch = max 1 batch;
-      clock;
       shards = Array.init jobs (fun _ -> fresh_shard ());
       workers = [];
       lock = Mutex.create ();
@@ -227,7 +225,7 @@ let tick (t : t) : Scheduler.tick_report =
       Mutex.unlock t.world)
     (fun () ->
       Atomic.set t.ticking true;
-      let t0 = t.clock () in
+      let t0 = Host_metrics.now () in
       assign t;
       (* release the workers on shards 1.., serve shard 0 here *)
       Mutex.lock t.lock;
@@ -242,7 +240,7 @@ let tick (t : t) : Scheduler.tick_report =
       done;
       Mutex.unlock t.lock;
       (* every shard has quiesced: fold the tick together *)
-      let latency_ns = (t.clock () -. t0) *. 1e9 in
+      let latency_ns = (Host_metrics.now () -. t0) *. 1e9 in
       let m = Registry.metrics t.reg in
       m.Host_metrics.ticks <- m.Host_metrics.ticks + 1;
       let processed = ref 0 in

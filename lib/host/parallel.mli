@@ -53,7 +53,7 @@
 type t
 
 val create :
-  ?jobs:int -> ?batch:int -> ?clock:(unit -> float) -> Registry.t -> t
+  ?jobs:int -> ?batch:int -> Registry.t -> t
 (** A pool of [jobs] shards over the registry: the calling domain
     coordinates and serves shard 0; [jobs - 1] worker domains are
     spawned for the rest (none for [jobs = 1], which is the sequential

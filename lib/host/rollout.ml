@@ -58,14 +58,14 @@ let begin_ ?(typecheck = Broadcast.Incremental) ?(fraction = 0.1)
     invalid_arg "Rollout.begin_: a rollout is already open";
   let m = Registry.metrics reg in
   let base = Registry.program reg in
-  let t_check = Unix.gettimeofday () in
+  let t_check = Host_metrics.now () in
   let diff = Program_diff.diff ~old_prog:base target in
   let verdict, use_diff =
     Broadcast.run_typecheck typecheck
       ~old_checked:(Registry.program_checked reg)
       ~diff target
   in
-  let typecheck_ns = (Unix.gettimeofday () -. t_check) *. 1e9 in
+  let typecheck_ns = (Host_metrics.now () -. t_check) *. 1e9 in
   m.Host_metrics.typecheck_last_ns <- typecheck_ns;
   m.Host_metrics.dirty_defs_last <- Program_diff.dirty_count diff;
   m.Host_metrics.recheck_defs_last <- Program_diff.recheck_count diff;
@@ -139,7 +139,7 @@ let promote (t : t) : Broadcast.session_outcome list =
   let m = Registry.metrics t.reg in
   let is_canary = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace is_canary id ()) t.canary;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Host_metrics.now () in
   let outcomes =
     List.filter_map
       (fun id ->
@@ -159,7 +159,7 @@ let promote (t : t) : Broadcast.session_outcome list =
   t.checkpoints <- [];
   Registry.promote_rollout t.reg;
   unpin t;
-  let fanout_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+  let fanout_ns = (Host_metrics.now () -. t0) *. 1e9 in
   m.Host_metrics.updates_applied <- m.Host_metrics.updates_applied + 1;
   m.Host_metrics.fanout_last_ns <- fanout_ns;
   Host_metrics.record m.Host_metrics.update_fanout fanout_ns;

@@ -19,13 +19,11 @@ type t = {
   reg : Registry.t;
   policy : policy;
   batch : int;
-  clock : unit -> float;
   mutable cursor : int;  (** round-robin rotation *)
 }
 
-let create ?(policy = Round_robin) ?(batch = 8)
-    ?(clock = Unix.gettimeofday) (reg : Registry.t) : t =
-  { reg; policy; batch = max 1 batch; clock; cursor = 0 }
+let create ?(policy = Round_robin) ?(batch = 8) (reg : Registry.t) : t =
+  { reg; policy; batch = max 1 batch; cursor = 0 }
 
 type tick_report = {
   processed : int;
@@ -124,7 +122,7 @@ let service_order (t : t) : Registry.id list =
         ids
 
 let tick (t : t) : tick_report =
-  let t0 = t.clock () in
+  let t0 = Host_metrics.now () in
   let m = Registry.metrics t.reg in
   let processed = ref 0 in
   let served = ref 0 in
@@ -140,7 +138,7 @@ let tick (t : t) : tick_report =
       if sv.sv_painted then incr served;
       errors := List.rev_append sv.sv_errors !errors)
     (service_order t);
-  let latency_ns = (t.clock () -. t0) *. 1e9 in
+  let latency_ns = (Host_metrics.now () -. t0) *. 1e9 in
   m.Host_metrics.ticks <- m.Host_metrics.ticks + 1;
   m.Host_metrics.events_processed <-
     m.Host_metrics.events_processed + !processed;

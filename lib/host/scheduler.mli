@@ -26,12 +26,11 @@ type t
 val create :
   ?policy:policy ->
   ?batch:int ->
-  ?clock:(unit -> float) ->
   Registry.t ->
   t
 (** [batch] (default 8, clamped to >= 1) bounds the events drained per
-    session per tick.  [clock] is in seconds ([Unix.gettimeofday] by
-    default) and times each tick into the registry's metrics. *)
+    session per tick.  Each tick is timed into the registry's
+    metrics. *)
 
 (** The result of serving one session once (see {!serve}). *)
 type service = {

@@ -3,7 +3,7 @@
 exception Failed of string
 
 let reply_timeout = 60.
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+let now = Live_host.Host_metrics.now
 
 type listener = { lfd : Unix.file_descr; path : string }
 

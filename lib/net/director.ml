@@ -2,11 +2,15 @@
     [select]-based like {!Server}: client and shard connections are
     {!Conn}s with staged egress — every frame bound for a peer during
     one select round lands in that peer's staging buffer and flushes
-    as a single write.  A control frame ([Detach]/[Resume]/[Prepare]/...)
-    turns the shard conversation briefly synchronous ({!Conn.rpc}):
-    the director writes the request through and pumps frames off the
-    shard until the reply arrives, routing any unrelated [Delta]
-    traffic to its owner on the way.
+    as a single write.  A control frame ([Hello]/[Update]/[Detach]/...)
+    is answered by one scatter-gather ({!scatter}): the director writes
+    each involved shard its request, then waits on every shard still
+    owed a reply at once, routing any unrelated [Delta] traffic to its
+    owner on the way — the shards work in parallel, and the exchange
+    costs the slowest shard's time, not the sum.  A shard is held after
+    its last reply: what it sent behind the reply stays buffered until
+    the next {!step}, so a commit's repaints reach clients after the
+    director's own answer.
 
     The data plane is copy-free: a shard's [Delta] and a client's
     [Event] are relayed as raw bytes with only the session-id field
@@ -16,9 +20,7 @@
     trusted — the fast path takes only byte-validated event frames
     ({!Wire.event_payload_ok}) and everything else falls back to the
     full decoder, so malformed client bytes can never reach a shard
-    stream.  Fleet-wide sweeps ([Observe]/[Stats_data]) broadcast the
-    request to every shard before gathering replies: one round-trip
-    wall-clock, not one per shard. *)
+    stream. *)
 
 module Host_metrics = Live_host.Host_metrics
 module Prng = Live_core.Prng
@@ -64,6 +66,7 @@ type t = {
   mutable d_digest_checks : int;
   mutable d_digest_failures : int;
   mutable d_corrupt : int;
+  txn_ns : Host_metrics.histogram;  (** 2PC, Update read to reply staged *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -133,6 +136,7 @@ let create ?(pump = fun () -> ()) ?(connect_timeout = 10.) ~socket
     d_digest_checks = 0;
     d_digest_failures = 0;
     d_corrupt = 0;
+    txn_ns = Host_metrics.histogram ();
   }
 
 (* ------------------------------------------------------------------ *)
@@ -170,8 +174,10 @@ let send_shard (t : t) (sh : shard) (f : Wire.client_frame) : unit =
 
 (* Every shard socket error — a hang-up, a failed read or write, a
    reply that never comes — is fatal. *)
-let shard_io (sh : shard) (f : unit -> 'a) : 'a =
-  try f () with Conn.Failed m -> fatal "shard %s: %s" sh.endpoint m
+let shard_io (shs : shard list) (f : unit -> 'a) : 'a =
+  try f ()
+  with Conn.Failed m ->
+    fatal "shard %s: %s" (String.concat ", " (List.map (fun sh -> sh.endpoint) shs)) m
 
 let leading_int (msg : string) : int option =
   int_of_string_opt (List.hd (String.split_on_char ' ' msg))
@@ -229,12 +235,11 @@ let route_shard_frame (t : t) (sh : shard) (f : Wire.host_frame) : unit =
         (Fmt.to_to_string Wire.pp (Wire.Host f))
 
 (* One decode pass over the frames buffered from the shard.  [Delta]s
-   take the raw fast path; anything else is decoded and — when [stop]
-   is given — offered to it first: a [Some] verdict ends the pass (the
-   reply of a control exchange), a [None] routes the frame as ordinary
-   traffic. *)
-let drain_shard_frames (t : t) (sh : shard) ?stop () =
-  let result = ref None in
+   take the raw fast path; anything else is decoded and offered to
+   [reply] first: [Some more] takes it as a reply owed to a control
+   exchange and ends the pass unless [more], [None] routes it as
+   ordinary traffic. *)
+let drain_shard_frames (t : t) (sh : shard) ?(reply = fun _ -> None) () =
   let raw data (r : Wire.raw) =
     r.Wire.r_tag = 0x82
     && begin
@@ -244,78 +249,86 @@ let drain_shard_frames (t : t) (sh : shard) ?stop () =
   in
   let decoded = function
     | Wire.Client _ -> fatal "shard %s: client-tagged frame" sh.endpoint
-    | Wire.Host f ->
-        (match Option.bind stop (fun matcher -> matcher f) with
-        | Some v -> result := Some v
-        | None -> route_shard_frame t sh f);
-        !result = None
+    | Wire.Host f -> (
+        match reply f with
+        | Some more -> more
+        | None ->
+            route_shard_frame t sh f;
+            true)
   in
-  (match Conn.frames ~raw sh.conn decoded with
+  match Conn.frames ~raw sh.conn decoded with
   | Some m -> fatal "shard %s: corrupt stream: %s" sh.endpoint m
-  | None -> ());
-  !result
+  | None -> ()
 
-(* Synchronous control exchange: send [req], then pump frames off this
-   shard — routing unrelated traffic — until [matcher] recognises the
-   reply.  The matcher must return [None] for backpressure [Error]s
-   (they can interleave) and [Some] for its reply, including error
-   replies; [Delta]s never reach it (raw fast path). *)
+(* The one control exchange: stage each listed shard (at most once) its
+   request, push them all out, then wait on every shard still owed
+   replies — a fast shard never queues behind a slow one — draining
+   each with [matcher] until its [k] replies are in.  The matcher
+   returns [None] for backpressure [Error]s (they interleave) and
+   [Some] for a reply, error replies included.  A shard whose last
+   reply has matched leaves the wait set: what it sent behind that
+   reply stays buffered until the next {!step}.  Returns each listed
+   shard's replies in arrival order. *)
+let scatter (t : t) (reqs : (shard * Wire.client_frame * int) list)
+    (matcher : shard -> Wire.host_frame -> 'a option) : (shard * 'a list) list =
+  let owed = Array.make (Array.length t.shards) 0 in
+  let got = Array.make (Array.length t.shards) [] in
+  List.iter (fun (sh, req, k) -> send_shard t sh req; owed.(sh.sx) <- k) reqs;
+  let asked = List.map (fun (sh, _, _) -> sh) reqs in
+  List.iter (fun sh -> shard_io [ sh ] (fun () -> Conn.push ~pump:t.pump sh.conn)) asked;
+  let reply sh f =
+    Option.map
+      (fun v ->
+        got.(sh.sx) <- v :: got.(sh.sx);
+        owed.(sh.sx) <- owed.(sh.sx) - 1;
+        owed.(sh.sx) > 0)
+      (matcher sh f)
+  in
+  let rec gather () =
+    match List.filter (fun sh -> owed.(sh.sx) > 0) asked with
+    | [] -> ()
+    | waiting ->
+        shard_io waiting (fun () ->
+            Conn.await ~pump:t.pump
+              (List.map (fun sh -> sh.conn) waiting)
+              (fun () ->
+                List.iter (fun sh -> drain_shard_frames t sh ~reply:(reply sh) ()) waiting;
+                if List.exists (fun sh -> owed.(sh.sx) = 0) waiting then Some ()
+                else None));
+        gather ()
+  in
+  gather ();
+  List.map (fun sh -> (sh, List.rev got.(sh.sx))) asked
+
+let every (t : t) (req : Wire.client_frame) =
+  List.map (fun sh -> (sh, req, 1)) (Array.to_list t.shards)
+
 let rpc (t : t) (sh : shard) (req : Wire.client_frame)
     (matcher : Wire.host_frame -> 'a option) : 'a =
-  t.d_frames_out <- t.d_frames_out + 1;
-  shard_io sh (fun () ->
-      Conn.rpc ~pump:t.pump sh.conn (Wire.Client req) (fun () ->
-          drain_shard_frames t sh ~stop:matcher ()))
-
-(* Fleet-wide sweep: the same request to {e every} shard up front, then
-   gather the replies — the sweep costs one round-trip wall-clock
-   instead of one per shard, which is what makes fleet observation
-   scale when the shards are real processes answering in parallel. *)
-let broadcast_rpc (t : t) (req : Wire.client_frame)
-    (matcher : shard -> Wire.host_frame -> 'a option) : 'a array =
-  Array.iter
-    (fun sh ->
-      send_shard t sh req;
-      shard_io sh (fun () -> Conn.push ~pump:t.pump sh.conn))
-    t.shards;
-  Array.map
-    (fun sh ->
-      shard_io sh (fun () ->
-          Conn.await ~pump:t.pump [ sh.conn ] (fun () ->
-              drain_shard_frames t sh ~stop:(matcher sh) ())))
-    t.shards
+  List.hd (snd (List.hd (scatter t [ (sh, req, 1) ] (fun _ -> matcher))))
 
 (* ------------------------------------------------------------------ *)
 (* Fleet-wide observation                                              *)
 (* ------------------------------------------------------------------ *)
 
 (* Every resident session's canonical observation, tagged with its
-   global id, ascending.  One broadcast sweep: all shards observe
+   global id, ascending.  One scatter: all shards observe
    concurrently. *)
 let observe_fleet (t : t) : (int * string) list =
-  let per_shard =
-    broadcast_rpc t Wire.Observe (fun sh -> function
-      | Wire.Observed { sessions } -> Some sessions
-      | Wire.Error { code; msg } ->
-          fatal "shard %s: observe: error %d: %s" sh.endpoint code msg
-      | _ -> None)
-  in
-  let all =
-    Array.to_list
-      (Array.mapi
-         (fun i sessions ->
-           let sh = t.shards.(i) in
-           List.map
-             (fun (local, obs) ->
-               match Hashtbl.find_opt sh.locals local with
-               | Some g -> (g, obs)
-               | None ->
-                   fatal "shard %s: unknown local session %d" sh.endpoint local)
-             sessions)
-         per_shard)
-    |> List.concat
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) all
+  scatter t (every t Wire.Observe) (fun sh -> function
+    | Wire.Observed { sessions } -> Some sessions
+    | Wire.Error { code; msg } ->
+        fatal "shard %s: observe: error %d: %s" sh.endpoint code msg
+    | _ -> None)
+  |> List.concat_map (fun (sh, replies) ->
+         List.concat_map
+           (List.map (fun (local, obs) ->
+                match Hashtbl.find_opt sh.locals local with
+                | Some g -> (g, obs)
+                | None ->
+                    fatal "shard %s: unknown local session %d" sh.endpoint local))
+           replies)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* global ids are dense and spawn-ordered, like a single registry's, so
    this is byte-compatible with {!Live_host.Registry.digest} *)
@@ -323,7 +336,7 @@ let fleet_digest (t : t) : string =
   Live_host.Registry.digest_of (observe_fleet t)
 
 let shard_exports (t : t) : Host_metrics.exported list =
-  broadcast_rpc t Wire.Stats_data (fun sh -> function
+  scatter t (every t Wire.Stats_data) (fun sh -> function
     | Wire.Metrics { text } -> (
         match Host_metrics.import text with
         | Ok x -> Some x
@@ -331,7 +344,7 @@ let shard_exports (t : t) : Host_metrics.exported list =
     | Wire.Error { code; msg } ->
         fatal "shard %s: stats: error %d: %s" sh.endpoint code msg
     | _ -> None)
-  |> Array.to_list
+  |> List.concat_map snd
 
 (* The exact union of the shard exports, re-exported in the same
    format — raw counters and buckets, not precomputed quantiles. *)
@@ -370,42 +383,36 @@ let ack_or_error (what : string) (sh : shard) : Wire.host_frame -> (string, stri
       fatal "shard %s: %s: error %d: %s" sh.endpoint what code msg
   | _ -> None
 
-(* Prepare on every shard; if any refuses, abort the ones already
-   prepared and report failure — all-or-nothing.  Otherwise commit
-   everywhere.  No client frame is read while this runs, so the fleet
-   is never observably mixed-epoch. *)
+(* Two-phase commit, one scatter per phase: Prepare to every shard at
+   once; if every shard votes Ack, Commit to every shard at once, else
+   Abort to those that prepared — all-or-nothing.  The shards run each
+   phase in parallel.  No client frame is read until the last reply:
+   a connection's frames after its Update meet the new program, as on
+   a single {!Server}, and no client sees the fleet in two epochs. *)
 let update (t : t) (program : string) : (string, string) result =
   let txn = t.next_txn in
   t.next_txn <- txn + 1;
-  let prepared = ref [] in
-  let failure = ref None in
-  Array.iter
-    (fun sh ->
-      if !failure = None then
-        match rpc t sh (Wire.Prepare { txn; program }) (ack_or_error "prepare" sh) with
-        | Ok _ -> prepared := sh :: !prepared
-        | Error m -> failure := Some (sh.endpoint, m))
-    t.shards;
-  match !failure with
-  | Some (ep, m) ->
-      List.iter
-        (fun sh ->
-          match rpc t sh (Wire.Abort { txn }) (ack_or_error "abort" sh) with
-          | Ok _ -> ()
-          | Error m -> fatal "shard %s: abort refused: %s" sh.endpoint m)
-        !prepared;
+  let refused =
+    List.find_map (fun (sh, replies) ->
+        List.find_map (function Error m -> Some (sh, m) | Ok _ -> None) replies)
+  in
+  let votes = scatter t (every t (Wire.Prepare { txn; program })) (ack_or_error "prepare") in
+  match refused votes with
+  | Some (sh, m) ->
+      let prepared = List.filter (fun (_, rs) -> List.for_all Result.is_ok rs) votes in
+      let aborts = List.map (fun (sh, _) -> (sh, Wire.Abort { txn }, 1)) prepared in
+      (match refused (scatter t aborts (ack_or_error "abort")) with
+      | Some (sh, m) -> fatal "shard %s: abort refused: %s" sh.endpoint m
+      | None -> ());
       t.d_updates_rejected <- t.d_updates_rejected + 1;
-      Error (Printf.sprintf "prepare failed on %s: %s (fleet unchanged)" ep m)
+      Error (Printf.sprintf "prepare failed on %s: %s (fleet unchanged)" sh.endpoint m)
   | None ->
-      Array.iter
-        (fun sh ->
-          match rpc t sh (Wire.Commit { txn }) (ack_or_error "commit" sh) with
-          | Ok _ -> ()
-          | Error m ->
-              (* a commit refusal after every shard prepared breaks the
-                 protocol's promise; there is no good recovery *)
-              fatal "shard %s: commit refused: %s" sh.endpoint m)
-        t.shards;
+      (match refused (scatter t (every t (Wire.Commit { txn })) (ack_or_error "commit")) with
+      | Some (sh, m) ->
+          (* a commit refusal after every shard prepared breaks the
+             protocol's promise; there is no good recovery *)
+          fatal "shard %s: commit refused: %s" sh.endpoint m
+      | None -> ());
       t.d_updates <- t.d_updates + 1;
       Ok
         (Printf.sprintf "txn %d committed on %d shards" txn
@@ -520,6 +527,8 @@ let rebalance (t : t) (count : int) : (string, string) result =
 (* Aggregated stats                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let txn_ms (t : t) (q : float) = Host_metrics.quantile t.txn_ns q /. 1e6
+
 let aggregated_metrics (t : t) : string =
   let exports = shard_exports t in
   let merged = Host_metrics.merge_exported exports in
@@ -538,38 +547,65 @@ let aggregated_metrics (t : t) : string =
     (Printf.sprintf
        "  updates: %d committed, %d rejected; rebalance: %d runs, %d moved\n"
        t.d_updates t.d_updates_rejected t.d_rebalances t.d_moved);
+  Buffer.add_string b
+    (Printf.sprintf "  2PC: %d txns, p50 %.2f ms, p99 %.2f ms\n"
+       (Host_metrics.hist_count t.txn_ns) (txn_ms t 0.5) (txn_ms t 0.99));
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Client frame handling                                               *)
 (* ------------------------------------------------------------------ *)
 
-let spawn_one (t : t) (c : Conn.t) (client : string) : unit =
-  let g = t.next_global in
-  let sh = t.shards.(place t g) in
-  let reply =
-    rpc t sh (Wire.Hello { client; sessions = 1 }) (function
+(* Place [g] at its shard-local id, owned by [c], and stage its Attach. *)
+let attach (t : t) (c : Conn.t) (g : int) (sh : shard) (local, width, frame) =
+  Hashtbl.replace sh.locals local g;
+  Hashtbl.replace t.sessions g
+    { p_shard = sh.sx; p_local = local; p_owner = Some (Conn.fd c) };
+  send_client t c (Wire.Host (Wire.Attach { session = g; width; frame }))
+
+(* [Hello] for [n] sessions: place the next [n] global ids by
+   rendezvous, ask each shard for its share in one [Hello], and pair
+   its replies with its ids in ascending order — the ids, placements,
+   shard-local ids and Attach order of [n] one-session spawns.  Every
+   shard boots one program, so a refusal is all-or-nothing (one Error
+   per session, no id used up); a fleet that does both is {!Fatal}. *)
+let spawn (t : t) (c : Conn.t) (client : string) (n : int) : unit =
+  let share = Array.make (Array.length t.shards) [] in
+  for g = t.next_global + n - 1 downto t.next_global do
+    let sx = place t g in
+    share.(sx) <- g :: share.(sx)
+  done;
+  let asked =
+    List.filter_map
+      (fun sh ->
+        match List.length share.(sh.sx) with
+        | 0 -> None
+        | k -> Some (sh, Wire.Hello { client; sessions = k }, k))
+      (Array.to_list t.shards)
+  in
+  let replies =
+    scatter t asked (fun _ -> function
       | Wire.Attach { session; width; frame } -> Some (Ok (session, width, frame))
       | Wire.Error { code = (3 | 4 | 5) as code; msg } -> Some (Error (code, msg))
       | _ -> None)
   in
-  match reply with
-  | Error (code, msg) -> error t c code msg
-  | Ok (local, width, frame) ->
-      t.next_global <- g + 1;
-      Hashtbl.replace sh.locals local g;
-      Hashtbl.replace t.sessions g
-        { p_shard = sh.sx; p_local = local; p_owner = Some (Conn.fd c) };
-      send_client t c (Wire.Host (Wire.Attach { session = g; width; frame }))
+  List.concat_map (fun (sh, rs) -> List.map2 (fun g r -> (g, sh, r)) share.(sh.sx) rs) replies
+  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  |> List.partition_map (function
+       | g, sh, Ok a -> Either.Left (g, sh, a)
+       | _, _, Error e -> Either.Right e)
+  |> function
+  | spawned, [] ->
+      t.next_global <- t.next_global + n;
+      List.iter (fun (g, sh, a) -> attach t c g sh a) spawned
+  | [], refused -> List.iter (fun (code, msg) -> error t c code msg) refused
+  | _ -> fatal "Hello: some shards booted sessions and some refused"
 
 let handle_client_frame (t : t) (c : Conn.t) (f : Wire.client_frame) : unit =
   match f with
   | Wire.Hello { client; sessions } ->
       if sessions < 1 then violation t c "Hello: sessions must be >= 1"
-      else
-        for _ = 1 to sessions do
-          spawn_one t c client
-        done
+      else spawn t c client sessions
   | Wire.Event _ ->
       (* {!try_fast_event} takes every Event the decoder accepts
          ({!Wire.event_payload_ok} agrees with {!Wire.decode}) *)
@@ -602,13 +638,9 @@ let handle_client_frame (t : t) (c : Conn.t) (f : Wire.client_frame) : unit =
       in
       match reply with
       | Error (code, msg) -> error t c code msg
-      | Ok (local, width, frame) ->
+      | Ok a ->
           t.next_global <- g + 1;
-          Hashtbl.replace sh.locals local g;
-          Hashtbl.replace t.sessions g
-            { p_shard = sh.sx; p_local = local; p_owner = Some (Conn.fd c) };
-          send_client t c
-            (Wire.Host (Wire.Attach { session = g; width; frame })))
+          attach t c g sh a)
   | Wire.Stats ->
       send_client t c (Wire.Host (Wire.Metrics { text = aggregated_metrics t }))
   | Wire.Stats_data ->
@@ -617,10 +649,12 @@ let handle_client_frame (t : t) (c : Conn.t) (f : Wire.client_frame) : unit =
          same way a director of shards does) *)
       send_client t c
         (Wire.Host (Wire.Metrics { text = merged_export (shard_exports t) }))
-  | Wire.Update { program } -> (
-      match update t program with
+  | Wire.Update { program } ->
+      let t0 = Host_metrics.now () in
+      (match update t program with
       | Ok info -> send_client t c (Wire.Host (Wire.Ack { info }))
-      | Error msg -> error t c 6 msg)
+      | Error msg -> error t c 6 msg);
+      Host_metrics.record t.txn_ns ((Host_metrics.now () -. t0) *. 1e9)
   | Wire.Rebalance { count } ->
       if count < 0 then violation t c "Rebalance: negative count"
       else (
@@ -700,7 +734,7 @@ let step ?(timeout = 0.05) (t : t) : bool =
     Array.iter
       (fun sh ->
         if List.mem (Conn.fd sh.conn) readable then
-          shard_io sh (fun () -> Conn.read sh.conn);
+          shard_io [ sh ] (fun () -> Conn.read sh.conn);
         if Conn.buffered sh.conn then begin
           worked := true;
           ignore (drain_shard_frames t sh ())
@@ -718,7 +752,7 @@ let step ?(timeout = 0.05) (t : t) : bool =
             | exception Conn.Failed _ -> drop_conn t c))
       readable;
     (* egress both ways *)
-    Array.iter (fun sh -> shard_io sh (fun () -> Conn.flush sh.conn)) t.shards;
+    Array.iter (fun sh -> shard_io [ sh ] (fun () -> Conn.flush sh.conn)) t.shards;
     Hashtbl.fold (fun _ c dead -> if Conn.flush_live c then dead else c :: dead)
       t.conns []
     |> List.iter (drop_conn t);
@@ -744,6 +778,9 @@ type stats = {
   digest_checks : int;
   digest_failures : int;
   corrupt : int;
+  txns : int;
+  txn_p50_ms : float;
+  txn_p99_ms : float;
 }
 
 let stats (t : t) : stats =
@@ -763,6 +800,9 @@ let stats (t : t) : stats =
     digest_checks = t.d_digest_checks;
     digest_failures = t.d_digest_failures;
     corrupt = t.d_corrupt;
+    txns = Host_metrics.hist_count t.txn_ns;
+    txn_p50_ms = txn_ms t 0.5;
+    txn_p99_ms = txn_ms t 0.99;
   }
 
 let stop (t : t) : unit =

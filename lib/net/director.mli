@@ -14,12 +14,14 @@
       in spawn order, exactly like a single-process registry, so a
       directed fleet digests identically to an undirected one.
     - {b UPDATE is atomic} fleet-wide: a client [Update] runs two-phase
-      commit over the shards' staged-rollout machinery ([Prepare] =
-      {!Live_host.Rollout.begin_} everywhere, then [Commit] =
-      canary+promote everywhere, or [Abort] = rollback everywhere if
-      any prepare refuses).  The director reads no client frame while
-      the transaction is in flight, so no client ever observes a
-      mixed-epoch fleet.
+      commit over the shards' staged-rollout machinery.  [Prepare]
+      ({!Live_host.Rollout.begin_}) goes to every shard at once; if
+      every shard votes Ack, [Commit] (canary+promote) goes to every
+      shard at once, else [Abort] (rollback) goes to those that
+      prepared.  The shard processes run each phase in parallel.  The
+      director reads no client frame while the transaction is in
+      flight, so no client ever observes a mixed-epoch fleet, and a
+      connection's frames after its [Update] meet the new program.
     - {b Rebalance preserves state byte-for-byte}: sessions migrate
       from the fullest to the emptiest shard through the canonical
       detach → snapshot → resume path, keeping their global ids; the
@@ -48,6 +50,12 @@ type stats = {
   digest_checks : int;  (** strict before/after digest comparisons *)
   digest_failures : int;
   corrupt : int;
+  txns : int;  (** two-phase UPDATEs timed, committed or refused *)
+  txn_p50_ms : float;
+      (** a 2PC's time from reading the client's [Update] to staging
+          its reply, on the monotonic clock (log-bucket quantile; [0.]
+          before the first) *)
+  txn_p99_ms : float;
 }
 
 val create :
@@ -66,7 +74,7 @@ val create :
 
 val step : ?timeout:float -> t -> bool
 (** One select round: accept clients, route frames, run any control
-    transaction to completion.  [true] if any work was done. *)
+    exchange to completion.  [true] if any work was done. *)
 
 val run : until:(unit -> bool) -> t -> unit
 val stats : t -> stats

@@ -7,9 +7,14 @@
       UPDATE (committed on even seeds; {e refused} atomically on odd
       seeds via an injected prepare failure) and a mid-trace live
       rebalance on the directed side only;
-    - {b atomicity}: when one shard cannot prepare, two-phase UPDATE
+    - {b scatter}: [Hello], [Prepare] and [Commit] reach every shard
+      before any shard answers (two fake shards that reply only once
+      both hold the request);
+    - {b atomicity}: when either shard cannot prepare, two-phase UPDATE
       leaves {e every} shard on the old program, and a subsequent clean
-      UPDATE moves every shard to the new one;
+      UPDATE moves every shard to the new one; on one connection the
+      Update's Ack splits old-program Deltas from new-program ones; a
+      fleet whose boot fails refuses a [Hello] whole;
     - {b rebalance}: sessions migrate between shards under an open
       client connection, the before/after fleet digest holds, and the
       moved sessions keep answering events at their global ids;
@@ -195,10 +200,132 @@ let prop_director_parity =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* The director talks to every shard at once                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A fake shard: a listening socket whose requests the test answers
+   itself, from the director's pump. *)
+type fake = {
+  name : string;
+  listener : Conn.listener;
+  mutable conn : Conn.t option;
+  mutable held : Wire.client_frame list;  (** unanswered, oldest first *)
+  mutable next_local : int;
+}
+
+let kind : Wire.client_frame -> string = function
+  | Wire.Hello _ -> "Hello"
+  | Wire.Prepare _ -> "Prepare"
+  | Wire.Commit _ -> "Commit"
+  | f -> Fmt.str "%a" Wire.pp (Wire.Client f)
+
+let answer (fk : fake) (c : Conn.t) (req : Wire.client_frame) : unit =
+  (match req with
+  | Wire.Hello { sessions; _ } ->
+      for _ = 1 to sessions do
+        let session = fk.next_local in
+        fk.next_local <- session + 1;
+        Conn.send c
+          (Wire.Host
+             (Wire.Attach
+                { session; width = 8; frame = Printf.sprintf "%s %d\n" fk.name session }))
+      done
+  | Wire.Prepare _ | Wire.Commit _ ->
+      Conn.send c (Wire.Host (Wire.Ack { info = fk.name ^ " " ^ kind req }))
+  | f -> Alcotest.failf "fake %s: unexpected %s" fk.name (kind f));
+  Conn.flush c
+
+(* The fakes' pump: take in what the director sent, and answer the
+   oldest requests only once both fakes hold one of the same kind.  A
+   director that waits on one shard before asking the next never gets
+   there; 200 pumps with only one side asked fail the test. *)
+let fake_pump (fakes : fake array) : unit -> unit =
+  let lopsided = ref 0 in
+  fun () ->
+    Array.iter
+      (fun fk ->
+        if fk.conn = None then
+          fk.conn <- (match Conn.accept fk.listener with c :: _ -> Some c | [] -> None);
+        Option.iter
+          (fun c ->
+            Conn.read c;
+            ignore
+              (Conn.frames c (function
+                | Wire.Client f ->
+                    fk.held <- fk.held @ [ f ];
+                    true
+                | Wire.Host _ -> Alcotest.failf "fake %s: host-tagged frame" fk.name)))
+          fk.conn)
+      fakes;
+    match Array.map (fun fk -> (fk, fk.held, fk.conn)) fakes with
+    | [| (a, ra :: resta, Some ca); (b, rb :: restb, Some cb) |] when kind ra = kind rb ->
+        lopsided := 0;
+        a.held <- resta;
+        b.held <- restb;
+        answer a ca ra;
+        answer b cb rb
+    | [| (a, r :: _, _); (b, [], _) |] | [| (b, [], _); (a, r :: _, _) |] ->
+        incr lopsided;
+        if !lopsided > 200 then
+          Alcotest.failf
+            "fake shard %s holds a %s that fake shard %s never received: the \
+             director waits on one shard before asking the next"
+            a.name (kind r) b.name
+    | _ -> ()
+
+(* A director over two fakes, and a client connection to it.  Fixed
+   relative socket names: rendezvous placement hashes them, so a Hello
+   splits the same way on every run. *)
+let with_fakes (f : pump:(unit -> unit) -> Director.t -> Conn.t -> unit) : unit =
+  let fakes =
+    Array.map
+      (fun name ->
+        { name; listener = Conn.listen name; conn = None; held = []; next_local = 0 })
+      [| "director_fake_0.sock"; "director_fake_1.sock" |]
+  in
+  let d =
+    Director.create ~pump:(fake_pump fakes) ~socket:"director_fake_d.sock"
+      ~shards:(Array.to_list (Array.map (fun fk -> fk.name) fakes))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Director.stop d;
+      Array.iter
+        (fun fk ->
+          Option.iter Conn.close fk.conn;
+          Conn.close_listener fk.listener)
+        fakes)
+  @@ fun () ->
+  let a = Conn.connect "director_fake_d.sock" in
+  Fun.protect ~finally:(fun () -> Conn.close a) @@ fun () ->
+  f ~pump:(fun () -> ignore (Director.step ~timeout:0. d)) d a
+
+let test_hello_scatters () =
+  with_fakes @@ fun ~pump d a ->
+  let n = 16 in
+  admin_send ~pump a (Wire.Hello { client = "scatter"; sessions = n });
+  for g = 0 to n - 1 do
+    match admin_recv ~pump a with
+    | Wire.Attach { session; _ } -> Alcotest.(check int) "Attach in id order" g session
+    | fr -> Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
+  done;
+  let loads = List.map snd (Director.stats d).Director.per_shard in
+  Alcotest.(check bool) "both fakes host sessions" true (List.for_all (fun l -> l > 0) loads);
+  Alcotest.(check int) "every session placed" n (List.fold_left ( + ) 0 loads)
+
+let test_update_scatters () =
+  with_fakes @@ fun ~pump _ a ->
+  let info = expect_ack ~pump a (Wire.Update { program = prog_str (app 1) }) in
+  Alcotest.(check string) "committed on both" "txn 1 committed on 2 shards" info
+
+(* ------------------------------------------------------------------ *)
 (* Two-phase atomicity, deterministically                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_update_atomicity () =
+(* Shard [refusing] cannot prepare: an injected rollout holds its slot.
+   Whichever shard refuses, the other one prepares and is aborted. *)
+let test_update_atomicity ~refusing () =
   let f = mk_fleet ~n_shards:2 (app 0) in
   Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
   let admin = Conn.connect (Scenario.socket f) in
@@ -211,12 +338,10 @@ let test_update_atomicity () =
     | Wire.Attach _ -> ()
     | fr -> Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
   done;
-  let reg0 = shard f 0
-  and reg1 = shard f 1 in
+  let regs = [ shard f 0; shard f 1 ] in
   let v0 = prog_str (app 0) and v1 = prog_str (app 1) in
-  (* shard 1 cannot prepare: an injected rollout holds its slot *)
   let inj =
-    match H.Rollout.begin_ ~seed:991 reg1 (app 2) with
+    match H.Rollout.begin_ ~seed:991 (shard f refusing) (app 2) with
     | Ok r -> r
     | Error e ->
         Alcotest.failf "inject: %s" (Live_core.Machine.error_to_string e)
@@ -224,34 +349,139 @@ let test_update_atomicity () =
   let msg =
     expect_refusal ~pump admin (Wire.Update { program = v1 })
   in
-  Alcotest.(check bool) "refusal reports fleet unchanged" true
-    (String.length msg > 0);
+  Alcotest.(check bool) "refusal names the refusing shard" true
+    (contains msg
+       (fst (List.nth (Director.stats (director f)).Director.per_shard refusing)));
   ignore (H.Rollout.rollback inj);
-  (* all-or-nothing: shard 0 prepared and was aborted; both shards are
-     still on the boot program, no rollout left open anywhere *)
-  Alcotest.(check bool) "shard 0 rollout closed" false
-    (H.Registry.rollout_open reg0);
-  Alcotest.(check bool) "shard 1 rollout closed" false
-    (H.Registry.rollout_open reg1);
-  Alcotest.(check string) "shard 0 on old program" v0
-    (prog_str (H.Registry.program reg0));
-  Alcotest.(check string) "shard 1 on old program" v0
-    (prog_str (H.Registry.program reg1));
-  Alcotest.(check int) "shard 0 epoch unchanged" 0
-    (H.Registry.current_epoch reg0);
-  Alcotest.(check int) "shard 1 epoch unchanged" 0
-    (H.Registry.current_epoch reg1);
+  (* all-or-nothing: the other shard prepared and was aborted; both
+     shards are still on the boot program, no rollout left open *)
+  List.iteri
+    (fun i reg ->
+      let name what = Printf.sprintf "shard %d %s" i what in
+      Alcotest.(check bool) (name "rollout closed") false (H.Registry.rollout_open reg);
+      Alcotest.(check string) (name "on old program") v0 (prog_str (H.Registry.program reg));
+      Alcotest.(check int) (name "epoch unchanged") 0 (H.Registry.current_epoch reg))
+    regs;
   (* the fleet is not wedged: a clean UPDATE commits everywhere *)
   let info = expect_ack ~pump admin (Wire.Update { program = v1 }) in
   Alcotest.(check bool) "ack names the txn" true
     (String.length info > 0);
-  Alcotest.(check string) "shard 0 on new program" v1
-    (prog_str (H.Registry.program reg0));
-  Alcotest.(check string) "shard 1 on new program" v1
-    (prog_str (H.Registry.program reg1));
+  List.iteri
+    (fun i reg ->
+      Alcotest.(check string) (Printf.sprintf "shard %d on new program" i) v1
+        (prog_str (H.Registry.program reg)))
+    regs;
   let st = Director.stats (director f) in
   Alcotest.(check int) "one rejected" 1 st.Director.updates_rejected;
-  Alcotest.(check int) "one committed" 1 st.Director.updates_committed
+  Alcotest.(check int) "one committed" 1 st.Director.updates_committed;
+  Alcotest.(check int) "both transactions timed" 2 st.Director.txns;
+  Alcotest.(check bool) "2PC p99 >= p50 > 0" true
+    (st.Director.txn_p99_ms >= st.Director.txn_p50_ms && st.Director.txn_p50_ms > 0.)
+
+(* One connection owns sessions on both shards and has a tap in flight
+   on each when it sends an Update.  As on a single [Server], its
+   frames before the Update meet the old program and its frames after
+   the Ack the new one: every Delta ahead of the Ack shows the old
+   banner, the first Delta behind it the new one, and a later tap is
+   answered under the new program. *)
+let test_update_orders_one_connection () =
+  let f = mk_fleet ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let a = Conn.connect (Scenario.socket f) in
+  Fun.protect ~finally:(fun () -> Conn.close a) @@ fun () ->
+  let pump = Scenario.pump f in
+  let screens = Hashtbl.create 16 in
+  (* placement hashes socket paths that embed the pid: spawn until
+     both shards hold sessions *)
+  let both () =
+    List.for_all (fun (_, l) -> l > 0) (Director.stats (director f)).Director.per_shard
+  in
+  while Hashtbl.length screens < 8 || not (both ()) do
+    admin_send ~pump a (Wire.Hello { client = "order"; sessions = 4 });
+    for _ = 1 to 4 do
+      match admin_recv ~pump a with
+      | Wire.Attach { session; frame; _ } ->
+          Hashtbl.replace screens session (Wire.rows_of_text frame)
+      | fr -> Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
+    done
+  done;
+  let n = Hashtbl.length screens in
+  let banner g =
+    Hashtbl.find screens g |> Array.to_list
+    |> List.find_opt (fun r -> contains r "fleet app v")
+    |> Option.value ~default:"(no banner)"
+  in
+  let shows v g = contains (banner g) (Printf.sprintf "fleet app v%d" v) in
+  (* tap where session [g]'s first counter row is drawn *)
+  let tap g =
+    let rows = Hashtbl.find screens g in
+    let y = ref 0 in
+    Array.iteri (fun i r -> if contains r "row 0" then y := i) rows;
+    Conn.send a (Wire.Client (Wire.Event { session = g; ev = Wire.Ev_tap { x = 2; y = !y } }))
+  in
+  let next_delta () =
+    match admin_recv ~pump a with
+    | Wire.Delta { session; height; rows; _ } ->
+        Hashtbl.replace screens session
+          (Wire.apply_delta (Hashtbl.find screens session) ~height ~rows);
+        `Delta session
+    | Wire.Ack _ -> `Ack
+    | fr -> Alcotest.failf "unexpected %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
+  in
+  for g = 0 to n - 1 do tap g done;
+  Conn.send a (Wire.Client (Wire.Update { program = prog_str (app 1) }));
+  Conn.push ~pump a;
+  let rec before_ack () =
+    match next_delta () with
+    | `Delta g ->
+        if not (shows 0 g) then
+          Alcotest.failf "session %d: a Delta ahead of the Ack shows %S" g (banner g);
+        before_ack ()
+    | `Ack -> ()
+  in
+  before_ack ();
+  let repainted = Hashtbl.create n in
+  while Hashtbl.length repainted < n do
+    match next_delta () with
+    | `Delta g when not (Hashtbl.mem repainted g) ->
+        Hashtbl.add repainted g ();
+        if not (shows 1 g) then
+          Alcotest.failf "session %d: the first Delta behind the Ack shows %S" g (banner g)
+    | `Delta _ -> ()
+    | `Ack -> Alcotest.fail "a second Ack"
+  done;
+  for g = 0 to n - 1 do
+    let taps_row () = Array.to_list (Hashtbl.find screens g) |> List.find (fun r -> contains r "taps ") in
+    let before = taps_row () in
+    tap g;
+    Conn.push ~pump a;
+    (match next_delta () with
+    | `Delta g' -> Alcotest.(check int) "the tap's Delta" g g'
+    | `Ack -> Alcotest.fail "an Ack for a tap");
+    Alcotest.(check bool) (Printf.sprintf "session %d: tap applied" g) true (taps_row () <> before);
+    Alcotest.(check bool) (Printf.sprintf "session %d: new program" g) true (shows 1 g)
+  done
+
+(* Every shard refuses to boot a session (one step of fuel): a Hello
+   for [n] sessions gets [n] Error 4 frames, no Attach, and leaves the
+   director holding nothing. *)
+let test_hello_boot_failure () =
+  let config = { config with H.Registry.fuel = Some 1 } in
+  let f = Scenario.start ~config (Scenario.Directed 2) (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let a = Conn.connect (Scenario.socket f) in
+  Fun.protect ~finally:(fun () -> Conn.close a) @@ fun () ->
+  let pump = Scenario.pump f in
+  let n = 6 in
+  admin_send ~pump a (Wire.Hello { client = "boot"; sessions = n });
+  for _ = 1 to n do
+    match admin_recv ~pump a with
+    | Wire.Error { code; _ } -> Alcotest.(check int) "boot refused" 4 code
+    | fr -> Alcotest.failf "expected Error 4, got %s" (Fmt.str "%a" Wire.pp (Wire.Host fr))
+  done;
+  for _ = 1 to 20 do ignore (Conn.poll ~pump [ a ] 0.001) done;
+  Alcotest.(check bool) "nothing after the refusals" true (Conn.next a = None);
+  Alcotest.(check int) "no session held" 0 (Director.stats (director f)).Director.sessions
 
 (* ------------------------------------------------------------------ *)
 (* Rebalance: byte-identical migration under a live connection         *)
@@ -410,8 +640,18 @@ let test_director_eintr_storm () =
 let suite =
   [
     prop_director_parity;
-    Alcotest.test_case "two-phase UPDATE is all-or-nothing" `Quick
-      test_update_atomicity;
+    Alcotest.test_case "a Hello reaches every shard at once" `Quick
+      test_hello_scatters;
+    Alcotest.test_case "Prepare and Commit reach every shard at once" `Quick
+      test_update_scatters;
+    Alcotest.test_case "two-phase UPDATE is all-or-nothing (shard 1 refuses)"
+      `Quick (test_update_atomicity ~refusing:1);
+    Alcotest.test_case "two-phase UPDATE is all-or-nothing (shard 0 refuses)"
+      `Quick (test_update_atomicity ~refusing:0);
+    Alcotest.test_case "an Update's Ack splits one connection's Deltas" `Quick
+      test_update_orders_one_connection;
+    Alcotest.test_case "a fleet that cannot boot refuses a Hello whole" `Quick
+      test_hello_boot_failure;
     Alcotest.test_case "rebalance migrates byte-identically" `Quick
       test_rebalance_migration;
     Alcotest.test_case "protocol violations close only the offender" `Quick
