@@ -33,8 +33,6 @@
       events/sec and p50/p99 scheduler-tick latency at fleet sizes
       {1, 10, 100, 1000}, plus broadcast-update fan-out time, under
       the seeded synthetic load;
-    - B11 [host_parallel]   — the same fleet load through the
-      domain-parallel pool at jobs 1/2/4/8, digest-cross-checked;
     - B12 [compiled_eval]   — the closure-compiled evaluator
       (lib/core/compile_eval) against the substitution machine:
       speedup and allocation reduction on the hot render (B1), the
@@ -735,9 +733,12 @@ let b9 () =
   in
   let rows =
     run_experiment "B9: fuzz_throughput — the conformance oracle's own cost"
-      "How fast the differential fuzzer burns traces: one 16-event trace \
-       replayed through each configuration alone (observation included), \
-       the full differential run over all 12, and trace generation itself."
+      (Printf.sprintf
+         "How fast the differential fuzzer burns traces: one 16-event trace \
+          replayed through each configuration alone (observation included), \
+          the full differential run over all %d, and trace generation \
+          itself."
+         (List.length Oracle.all_configs))
       (Test.make_grouped ~name:"b9" tests)
   in
   List.iter
@@ -784,7 +785,7 @@ let b10 () : jentry list =
       let ids = Array.of_list (H.Registry.ids reg) in
       let rngs = Array.map (fun id -> Prng.create (Prng.derive 42 id)) ids in
       let broadcast_round = rounds / 2 in
-      let t0 = Unix.gettimeofday () in
+      let t0 = H.Host_metrics.now () in
       for round = 0 to rounds - 1 do
         Array.iteri
           (fun i id ->
@@ -806,7 +807,7 @@ let b10 () : jentry list =
       (match H.Scheduler.drain sched with
       | Ok _ -> ()
       | Error m -> failwith m);
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = H.Host_metrics.now () -. t0 in
       let s = H.Registry.snapshot reg in
       let processed = s.H.Host_metrics.s_events_processed in
       let eps = float_of_int processed /. dt in
@@ -839,104 +840,6 @@ let b10 () : jentry list =
         };
       ])
     fleet_sizes
-
-(* ------------------------------------------------------------------ *)
-(* B11: domain-parallel host speedup                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** B11, like B10, is a wall-clock measurement of one deterministic
-    run — here the same fleet-of-1000 load replayed through the
-    {!Live_host.Parallel} domain pool at each [jobs].  The pool's
-    determinism contract makes the runs strictly comparable: every
-    [jobs] value processes byte-identical per-session event sequences
-    and must land on the same fleet digest, so the only thing that
-    varies across the speedup curve is scheduling. *)
-let b11 () : jentry list =
-  let module H = Live_host in
-  let module Prng = Live_core.Prng in
-  let fleet = 1000 in
-  let rows_n = 6 in
-  let jobs_axis = [ 1; 2; 4; 8 ] in
-  let app version =
-    (Live_workloads.Synthetic.compile_exn
-       (Live_workloads.Synthetic.host_app ~rows:rows_n ~version ()))
-      .Live_surface.Compile.core
-  in
-  header "B11: host_parallel_speedup — domain-parallel fleet execution"
-    "The fleet-of-1000 host load from B10 executed by the Parallel \
-     domain pool at jobs 1/2/4/8: events/sec and speedup vs. jobs=1, \
-     with the fleet digest cross-checked for byte-identical final \
-     state at every point.";
-  Printf.printf "  (this machine recommends %d domains)\n"
-    (Domain.recommended_domain_count ());
-  let run jobs =
-    let rounds = 8 in
-    let cfg = { H.Registry.default_config with H.Registry.width = 32 } in
-    let reg = H.Registry.create ~config:cfg (app 0) in
-    (match H.Registry.spawn_many reg fleet with
-    | Ok _ -> ()
-    | Error e -> failwith (Live_core.Machine.error_to_string e));
-    H.Parallel.with_pool ~jobs ~batch:8 reg (fun pool ->
-        let ids = Array.of_list (H.Registry.ids reg) in
-        let rngs = Array.map (fun id -> Prng.create (Prng.derive 42 id)) ids in
-        let t0 = Unix.gettimeofday () in
-        for round = 0 to rounds - 1 do
-          Array.iteri
-            (fun i id ->
-              let rng = rngs.(i) in
-              let ev =
-                if Prng.int rng 10 = 0 then H.Registry.Back
-                else
-                  H.Registry.Tap
-                    { x = Prng.int rng 32; y = 1 + Prng.int rng rows_n }
-              in
-              ignore (H.Registry.offer reg id ev))
-            ids;
-          ignore (H.Parallel.tick pool);
-          if round = rounds / 2 then
-            match H.Parallel.update pool (app 1) with
-            | Ok _ -> ()
-            | Error e -> failwith (Live_core.Machine.error_to_string e)
-        done;
-        (match H.Parallel.drain pool with
-        | Ok _ -> ()
-        | Error m -> failwith m);
-        let dt = Unix.gettimeofday () -. t0 in
-        if H.Parallel.barrier_violations pool <> 0 then
-          failwith "B11: broadcast barrier violated";
-        let s = H.Parallel.snapshot pool in
-        if not (H.Host_metrics.accounting_ok s) then
-          failwith "B11: accounting identity broken";
-        ( float_of_int s.H.Host_metrics.s_events_processed /. dt,
-          H.Registry.digest reg ))
-  in
-  let results = List.map (fun j -> (j, run j)) jobs_axis in
-  let _, (base_eps, base_digest) = List.hd results in
-  List.concat_map
-    (fun (j, (eps, digest)) ->
-      if not (String.equal digest base_digest) then
-        failwith
-          (Printf.sprintf
-             "B11: determinism contract broken — jobs=%d digest differs \
-              from jobs=1"
-             j);
-      let speedup = eps /. base_eps in
-      Printf.printf "  jobs=%d  %9.0f events/s  speedup %.2fx  digest %s\n" j
-        eps speedup
-        (String.sub digest 0 8);
-      [
-        {
-          id = Printf.sprintf "b11/events-per-sec/jobs=%d" j;
-          unit_ = "events/s";
-          value = eps;
-        };
-        {
-          id = Printf.sprintf "b11/speedup/jobs=%d" j;
-          unit_ = "ratio";
-          value = speedup;
-        };
-      ])
-    results
 
 (* ------------------------------------------------------------------ *)
 (* B12: the closure-compiled evaluator vs. the substitution machine    *)
@@ -1013,7 +916,7 @@ let b12 () : jentry list =
     let sched = H.Scheduler.create ~batch:8 reg in
     let ids = Array.of_list (H.Registry.ids reg) in
     let rngs = Array.map (fun id -> Prng.create (Prng.derive 42 id)) ids in
-    let t0 = Unix.gettimeofday () in
+    let t0 = H.Host_metrics.now () in
     for _round = 0 to rounds - 1 do
       Array.iteri
         (fun i id ->
@@ -1030,7 +933,7 @@ let b12 () : jentry list =
     (match H.Scheduler.drain sched with
     | Ok _ -> ()
     | Error m -> failwith m);
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = H.Host_metrics.now () -. t0 in
     let s = H.Registry.snapshot reg in
     float_of_int s.H.Host_metrics.s_events_processed /. dt
   in
@@ -1151,12 +1054,12 @@ let b13 () : jentry list =
        the first UPDATE is from-scratch in every mode; after it the
        incremental premise (old code checked) holds *)
     broadcast 1000;
-    let t0 = Unix.gettimeofday () in
+    let t0 = H.Host_metrics.now () in
     for stamp = 1 to edits do
       broadcast stamp
     done;
     let per_edit_ns =
-      (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int edits
+      (H.Host_metrics.now () -. t0) *. 1e9 /. float_of_int edits
     in
     (per_edit_ns, H.Registry.digest reg)
   in
@@ -1272,7 +1175,7 @@ let b14 () : jentry list =
   in
   let run_flat (k : int) : float * string =
     let reg = make k in
-    let t0 = Unix.gettimeofday () in
+    let t0 = H.Host_metrics.now () in
     for stamp = 1 to edits do
       match
         H.Broadcast.update ~typecheck:H.Broadcast.Incremental reg
@@ -1281,12 +1184,12 @@ let b14 () : jentry list =
       | Ok _ -> ()
       | Error e -> failwith (Live_core.Machine.error_to_string e)
     done;
-    ( (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int edits,
+    ( (H.Host_metrics.now () -. t0) *. 1e9 /. float_of_int edits,
       H.Registry.digest reg )
   in
   let run_staged (k : int) : float * string =
     let reg = make k in
-    let t0 = Unix.gettimeofday () in
+    let t0 = H.Host_metrics.now () in
     for stamp = 1 to edits do
       match
         H.Rollout.begin_ ~typecheck:H.Broadcast.Incremental ~fraction:0.1
@@ -1298,7 +1201,7 @@ let b14 () : jentry list =
           ignore (H.Rollout.canary r);
           ignore (H.Rollout.promote r)
     done;
-    ( (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int edits,
+    ( (H.Host_metrics.now () -. t0) *. 1e9 /. float_of_int edits,
       H.Registry.digest reg )
   in
   List.concat_map
@@ -1657,7 +1560,6 @@ let () =
   let r8 = b8 () in
   let r9 = b9 () in
   let r10 = b10 () in
-  let r11 = b11 () in
   let r12 = b12 () in
   let r13 = b13 () in
   let r14 = b14 () in
@@ -1673,5 +1575,5 @@ let () =
   write_json
     (List.concat_map entries_of_rows
        [ r1; r2; r3; r4; r5; r6; r7; r8; r9; r18 ]
-    @ r10 @ r11 @ r12 @ r13 @ r14 @ r15 @ r16 @ r17 @ alloc_entries);
+    @ r10 @ r12 @ r13 @ r14 @ r15 @ r16 @ r17 @ alloc_entries);
   Printf.printf "\nDone. See EXPERIMENTS.md for interpretation.\n"

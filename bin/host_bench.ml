@@ -13,19 +13,19 @@
     host_bench --sessions 1000 --seed 42       # the acceptance run
     host_bench --sessions 100 --soak 60        # the CI soak job
     host_bench --policy hottest-first --cache  # other configurations
-    host_bench --jobs 4 --digest               # the parallel pool
-    host_bench --evaluator subst               # the substitution engine
+    host_bench --evaluator subst --digest      # the substitution engine
     host_bench --net --conns 25                # over real Unix sockets
     host_bench --net --soak 60 --detach-every 5  # the net soak job
     v}
 
     Determinism contract: for a fixed [--seed], the final fleet state
     is a pure function of the replayed trace — [--digest] prints the
-    same MD5 for every [--jobs] value (see [Live_host.Parallel]) and
-    for both [--evaluator] engines (see [Live_core.Compile_eval]).
-    [--soak] enforces the latter directly: it drives a lockstep shadow
-    fleet under the {e other} evaluator over the same trace and fails
-    unless the two digests agree. *)
+    same MD5 for both [--evaluator] engines (see
+    [Live_core.Compile_eval]) and both [--policy] service orders (see
+    [Live_host.Registry.digest]).  [--soak] enforces the former
+    directly: it drives a lockstep shadow fleet under the {e other}
+    evaluator over the same trace and fails unless the two digests
+    agree. *)
 
 module H = Live_host
 module Session = Live_runtime.Session
@@ -46,11 +46,6 @@ let usage () =
   --cache             enable the incremental render pipeline
   --rows N            rows in the synthetic app (default 8)
   --width W           display width (default 32)
-  --jobs J            worker domains (default 1 = sequential scheduler;
-                      J > 1 executes ticks on a Domain pool).  The run
-                      is deterministic in --seed: per-session final
-                      state is byte-identical for every J, only
-                      wall-clock varies.
   --evaluator E       subst | compiled (default compiled): execution
                       engine for every session in the fleet
   --typecheck M       scratch | incremental | both (default incremental):
@@ -65,8 +60,8 @@ let usage () =
                       version bumps; prints the per-broadcast
                       typecheck / diff / compile / fan-out breakdown
   --digest            print the fleet's MD5 state digest (the
-                      determinism contract: equal across --jobs values
-                      and across --evaluator engines)
+                      determinism contract: equal across --evaluator
+                      engines and across --policy orders)
   --soak SECS         wall-clock soak: run SECS seconds, broadcast ~1/s,
                       and digest-cross-check a lockstep shadow fleet
                       running the other evaluator
@@ -136,7 +131,6 @@ let admission = ref None
 let cache = ref false
 let rows = ref 8
 let width = ref 32
-let jobs = ref 1
 let digest = ref false
 let soak = ref None
 let rollout_soak = ref None
@@ -207,13 +201,6 @@ let parse_args () =
         parse rest
     | "--width" :: v :: rest ->
         width := int_of_string v;
-        parse rest
-    | "--jobs" :: v :: rest ->
-        jobs := int_of_string v;
-        if !jobs < 1 then begin
-          prerr_endline "--jobs must be >= 1";
-          usage ()
-        end;
         parse rest
     | "--evaluator" :: v :: rest -> (
         match v with
@@ -315,15 +302,13 @@ let validate_flags () =
   | _ -> ());
   if !soak <> None && !rollout_soak <> None then
     err "--soak and --rollout-soak are mutually exclusive";
-  if !shards < 0 then err "--shards must be >= 1";
+  if !shards < 0 then err "--shards must be >= 0 (0 = no director)";
   if !shards > 0 && !net then
     err "--shards already drives the fleet over the wire; drop --net";
   let wire = !net || !shards > 0 in
   let mode = if !net then "--net" else "--shards" in
   if wire && !rollout_soak <> None then
     err (mode ^ " does not support --rollout-soak");
-  if wire && !jobs <> 1 then
-    err (mode ^ " drives the sequential scheduler; drop --jobs");
   (* wire updates are whole programs through the endpoint's UPDATE *)
   if wire && !edit_size <> 0 then
     err (mode ^ " broadcasts whole-program versions; drop --edit-size");
@@ -343,14 +328,7 @@ let validate_flags () =
   if !conns > 256 then err "--conns must be <= 256 (select fd budget)";
   if !detach_every < 0 then err "--detach-every must be >= 0";
   if wire && !conns = 0 then conns := min !sessions 16;
-  if wire && !conns > !sessions then conns := !sessions;
-  if !jobs > Domain.recommended_domain_count () then
-    Printf.eprintf
-      "warning: --jobs %d exceeds the recommended domain count (%d); expect \
-       oversubscription, not speedup\n\
-       %!"
-      !jobs
-      (Domain.recommended_domain_count ())
+  if wire && !conns > !sessions then conns := !sessions
 
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
@@ -423,23 +401,6 @@ let say fmt =
 (* Verdicts                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** The execution driver: [--jobs 1] replays through the sequential
-    {!Live_host.Scheduler}, [--jobs J>1] through the
-    {!Live_host.Parallel} domain pool.  Same trace, same final fleet
-    state either way — that is the pool's determinism contract. *)
-type driver = {
-  dr_tick : unit -> unit;
-  dr_drain : unit -> (int, string) result;
-  dr_update :
-    Live_core.Program.t ->
-    (H.Broadcast.report, Live_core.Machine.error) result;
-  dr_snapshot : unit -> H.Host_metrics.snapshot;
-  dr_excl : (unit -> unit) -> unit;
-      (** stop-the-world section for rollout stages (no-op when
-          sequential, {!Live_host.Parallel.exclusive} on the pool) *)
-  dr_shutdown : unit -> unit;
-}
-
 let check_fleet (reg : H.Registry.t) (where : string) =
   match H.Registry.check_invariants reg with
   | [] -> ()
@@ -460,9 +421,14 @@ let check_accounting (s : H.Host_metrics.snapshot) (where : string) =
       s.H.Host_metrics.s_events_dropped s.H.Host_metrics.s_events_rejected
       s.H.Host_metrics.s_pending
 
-let broadcast ?(silent = false) (dr : driver) (version : int)
-    (code : Live_core.Program.t) =
-  match dr.dr_update code with
+let drain (what : string) (sched : H.Scheduler.t) =
+  match H.Scheduler.drain sched with
+  | Ok _ -> ()
+  | Error m -> fail "%s: %s" what m
+
+let broadcast ?(silent = false) ?(typecheck = !typecheck) (reg : H.Registry.t)
+    (version : int) (code : Live_core.Program.t) =
+  match H.Broadcast.update ~typecheck reg code with
   | Ok r ->
       if not silent then begin
         say "  broadcast v%d: %d sessions in %.2f ms (%d globals reset)\n"
@@ -512,46 +478,14 @@ let fleet_config (ev : Live_core.Machine.evaluator) : H.Registry.config =
 let update_rounds () : int list =
   List.init !updates (fun u -> max 1 (!events * (u + 1) / (!updates + 1)))
 
-let make_fleet ?ev ?j ?tc () : H.Registry.t * driver =
-  let ev = match ev with Some e -> e | None -> !evaluator in
-  let jobs = match j with Some j -> j | None -> !jobs in
-  let tc = match tc with Some t -> t | None -> !typecheck in
+let make_fleet ?(ev = !evaluator) () : H.Registry.t * H.Scheduler.t =
   let reg = H.Registry.create ~config:(fleet_config ev) (compile_version 0) in
   (match H.Registry.spawn_many reg !sessions with
   | Ok _ -> ()
   | Error e ->
       Printf.eprintf "spawn failed: %s\n" (Live_core.Machine.error_to_string e);
       exit 1);
-  if jobs = 1 then
-    let sched = H.Scheduler.create ~policy:!policy ~batch:!batch reg in
-    ( reg,
-      {
-        dr_tick = (fun () -> ignore (H.Scheduler.tick sched));
-        dr_drain = (fun () -> H.Scheduler.drain sched);
-        dr_update = (fun code -> H.Broadcast.update ~typecheck:tc reg code);
-        dr_snapshot = (fun () -> H.Registry.snapshot reg);
-        dr_excl = (fun f -> f ());
-        dr_shutdown = ignore;
-      } )
-  else begin
-    (* the pool's shard assignment is always hottest-first LPT *)
-    say "pool: %d worker domains\n" jobs;
-    let pool = H.Parallel.create ~jobs ~batch:!batch reg in
-    ( reg,
-      {
-        dr_tick = (fun () -> ignore (H.Parallel.tick pool));
-        dr_drain = (fun () -> H.Parallel.drain pool);
-        dr_update = (fun code -> H.Parallel.update ~typecheck:tc pool code);
-        dr_snapshot = (fun () -> H.Parallel.snapshot pool);
-        dr_excl = (fun f -> H.Parallel.exclusive pool f);
-        dr_shutdown =
-          (fun () ->
-            (match H.Parallel.barrier_violations pool with
-            | 0 -> ()
-            | v -> fail "%d broadcast barrier violation(s)" v);
-            H.Parallel.shutdown pool);
-      } )
-  end
+  (reg, H.Scheduler.create ~policy:!policy ~batch:!batch reg)
 
 (** Per-round burst for one session: 1-3 events, so pending batches
     build up and the scheduler's render coalescing has work to do. *)
@@ -563,56 +497,52 @@ let offer_burst (reg : H.Registry.t) (rng : Prng.t) (id : H.Registry.id) =
 (** Seeded load run: [events] rounds; each round offers a small burst
     per session then ticks once, and the configured number of
     broadcasts fire at evenly spaced mid-stream rounds. *)
-let run_load () : H.Registry.t * driver =
-  let t0 = Unix.gettimeofday () in
-  let reg, dr = make_fleet () in
+let run_load () : H.Registry.t =
+  let t0 = H.Host_metrics.now () in
+  let reg, sched = make_fleet () in
   (* under --typecheck both, a lockstep shadow fleet replays the whole
-     run with scratch-mode broadcasts on the sequential scheduler; the
-     final MD5 digests must agree — end-to-end evidence that the
-     incremental pipeline (typecheck reuse, targeted fix-up, cache
-     retargeting) is observationally invisible *)
+     run with scratch-mode broadcasts; the final MD5 digests must
+     agree — end-to-end evidence that the incremental pipeline
+     (typecheck reuse, targeted fix-up, cache retargeting) is
+     observationally invisible *)
   let shadow =
-    if !typecheck = H.Broadcast.Cross_check then
-      Some (make_fleet ~j:1 ~tc:H.Broadcast.Scratch ())
+    if !typecheck = H.Broadcast.Cross_check then Some (make_fleet ())
     else None
   in
   say "fleet: %d sessions up in %.2f s%s\n" (H.Registry.size reg)
-    (Unix.gettimeofday () -. t0)
+    (H.Host_metrics.now () -. t0)
     (if shadow <> None then " (+ scratch-typecheck shadow fleet)" else "");
   let ids = Array.of_list (H.Registry.ids reg) in
   let rngs = Array.map (fun id -> Prng.create (Prng.derive !seed id)) ids in
   let srngs = Array.map (fun id -> Prng.create (Prng.derive !seed id)) ids in
   let update_rounds = update_rounds () in
   let version = ref 0 in
-  let t1 = Unix.gettimeofday () in
+  let t1 = H.Host_metrics.now () in
   for round = 0 to !events - 1 do
     Array.iteri (fun i id -> offer_burst reg rngs.(i) id) ids;
-    dr.dr_tick ();
+    ignore (H.Scheduler.tick sched);
     Option.iter
-      (fun (sreg, sdr) ->
+      (fun (sreg, ssched) ->
         Array.iteri (fun i id -> offer_burst sreg srngs.(i) id) ids;
-        sdr.dr_tick ())
+        ignore (H.Scheduler.tick ssched))
       shadow;
     if List.mem round update_rounds then begin
       incr version;
-      broadcast dr !version (next_edit reg !version);
+      broadcast reg !version (next_edit reg !version);
       Option.iter
-        (fun (sreg, sdr) ->
-          broadcast ~silent:true sdr !version (next_edit sreg !version))
+        (fun (sreg, _) ->
+          broadcast ~silent:true ~typecheck:H.Broadcast.Scratch sreg !version
+            (next_edit sreg !version))
         shadow
     end
   done;
-  (match dr.dr_drain () with
-  | Ok _ -> ()
-  | Error m -> fail "drain: %s" m);
-  let dt = Unix.gettimeofday () -. t1 in
+  drain "drain" sched;
+  let dt = H.Host_metrics.now () -. t1 in
   check_fleet reg "end of run";
-  check_accounting (dr.dr_snapshot ()) "end of run";
+  check_accounting (H.Registry.snapshot reg) "end of run";
   Option.iter
-    (fun (sreg, sdr) ->
-      (match sdr.dr_drain () with
-      | Ok _ -> ()
-      | Error m -> fail "shadow drain: %s" m);
+    (fun (sreg, ssched) ->
+      drain "shadow drain" ssched;
       check_fleet sreg "end of run (scratch shadow)";
       let d = H.Registry.digest reg and sd = H.Registry.digest sreg in
       if String.equal d sd then
@@ -624,14 +554,13 @@ let run_load () : H.Registry.t * driver =
         fail
           "typecheck cross-check: incremental fleet digest %s <> scratch \
            fleet digest %s — the broadcast pipelines diverged"
-          d sd;
-      sdr.dr_shutdown ())
+          d sd)
     shadow;
-  let s = dr.dr_snapshot () in
+  let s = H.Registry.snapshot reg in
   say "load: %d events in %.2f s (%.0f events/s)\n"
     s.H.Host_metrics.s_events_processed dt
     (float_of_int s.H.Host_metrics.s_events_processed /. dt);
-  (reg, dr)
+  reg
 
 (** Wall-clock soak: offer-and-tick continuously, broadcast roughly
     once a second, re-check the fleet invariants and the accounting
@@ -640,14 +569,14 @@ let run_load () : H.Registry.t * driver =
     The soak also exercises the evaluator-equivalence contract: a
     {e shadow} fleet running the other execution engine (compiled vs
     substitution) replays the exact same event trace in lockstep — same
-    per-session seeds, same bursts, same broadcast rounds — on the
-    sequential scheduler, and the two fleets' MD5 state digests must
-    agree at the end.  A single diverging value anywhere in any
-    session's store, page stack, or display fails the run. *)
-let run_soak (secs : float) : H.Registry.t * driver =
-  let reg, dr = make_fleet () in
+    per-session seeds, same bursts, same broadcast rounds — and the two
+    fleets' MD5 state digests must agree at the end.  A single
+    diverging value anywhere in any session's store, page stack, or
+    display fails the run. *)
+let run_soak (secs : float) : H.Registry.t =
+  let reg, sched = make_fleet () in
   let shadow_ev = other_evaluator !evaluator in
-  let sreg, sdr = make_fleet ~ev:shadow_ev ~j:1 () in
+  let sreg, ssched = make_fleet ~ev:shadow_ev () in
   say
     "soak: %d sessions for %.0f s, ~1 broadcast/s; lockstep %s shadow fleet \
      for the digest cross-check\n"
@@ -655,34 +584,30 @@ let run_soak (secs : float) : H.Registry.t * driver =
   let ids = Array.of_list (H.Registry.ids reg) in
   let rngs = Array.map (fun id -> Prng.create (Prng.derive !seed id)) ids in
   let srngs = Array.map (fun id -> Prng.create (Prng.derive !seed id)) ids in
-  let t0 = Unix.gettimeofday () in
+  let t0 = H.Host_metrics.now () in
   let last_update = ref t0 in
   let version = ref 0 in
-  while Unix.gettimeofday () -. t0 < secs do
+  while H.Host_metrics.now () -. t0 < secs do
     Array.iteri (fun i id -> offer_burst reg rngs.(i) id) ids;
     Array.iteri (fun i id -> offer_burst sreg srngs.(i) id) ids;
-    dr.dr_tick ();
-    sdr.dr_tick ();
-    let now = Unix.gettimeofday () in
+    ignore (H.Scheduler.tick sched);
+    ignore (H.Scheduler.tick ssched);
+    let now = H.Host_metrics.now () in
     if now -. !last_update >= 1.0 then begin
       last_update := now;
       incr version;
-      broadcast dr !version (next_edit reg !version);
-      broadcast ~silent:true sdr !version (next_edit sreg !version);
+      broadcast reg !version (next_edit reg !version);
+      broadcast ~silent:true sreg !version (next_edit sreg !version);
       check_fleet reg (Printf.sprintf "soak t=%.0fs" (now -. t0));
-      check_accounting (dr.dr_snapshot ())
+      check_accounting (H.Registry.snapshot reg)
         (Printf.sprintf "soak t=%.0fs" (now -. t0))
     end
   done;
-  (match dr.dr_drain () with
-  | Ok _ -> ()
-  | Error m -> fail "drain: %s" m);
-  (match sdr.dr_drain () with
-  | Ok _ -> ()
-  | Error m -> fail "shadow drain: %s" m);
+  drain "drain" sched;
+  drain "shadow drain" ssched;
   check_fleet reg "end of soak";
   check_fleet sreg "end of soak (shadow)";
-  check_accounting (dr.dr_snapshot ()) "end of soak";
+  check_accounting (H.Registry.snapshot reg) "end of soak";
   let d = H.Registry.digest reg and sd = H.Registry.digest sreg in
   if String.equal d sd then
     say "soak cross-check: %s and %s fleets digest-identical (%s)\n"
@@ -692,8 +617,7 @@ let run_soak (secs : float) : H.Registry.t * driver =
       "soak cross-check: %s fleet digest %s <> %s fleet digest %s — the \
        evaluators diverged"
       (evaluator_name !evaluator) d (evaluator_name shadow_ev) sd;
-  sdr.dr_shutdown ();
-  (reg, dr)
+  reg
 
 (** Wall-clock staged-rollout soak: continuous fleet-wide traffic, and
     every ~5 s a full rollout lifecycle — stage a change set as a
@@ -701,20 +625,20 @@ let run_soak (secs : float) : H.Registry.t * driver =
     window traffic, observe both cohorts, then resolve with a seeded
     coin flip.
 
-    The equivalence contract rides a lockstep {e flat} shadow fleet on
-    the sequential scheduler: when the coin says promote, the shadow
-    takes the same change set as one plain broadcast at the canary
-    point; when it says rollback, the shadow never sees the edit at
-    all.  Window traffic is routed so both fleets provably serve the
-    same trace under the same code (canary cohort only while a promote
-    is pending; everyone during a rollback window, which the journal
-    replay then erases).  At the end the two MD5 digests must agree —
-    promote ≡ one-shot broadcast, rollback ≡ never rolled out, under
-    sustained load.  Any divergence, invariant violation, cohort
-    accounting mismatch, or epoch crossing is a nonzero exit. *)
-let run_rollout_soak (secs : float) : H.Registry.t * driver =
-  let reg, dr = make_fleet () in
-  let sreg, sdr = make_fleet ~j:1 () in
+    The equivalence contract rides a lockstep {e flat} shadow fleet:
+    when the coin says promote, the shadow takes the same change set
+    as one plain broadcast at the canary point; when it says rollback,
+    the shadow never sees the edit at all.  Window traffic is routed so
+    both fleets provably serve the same trace under the same code
+    (canary cohort only while a promote is pending; everyone during a
+    rollback window, which the journal replay then erases).  At the
+    end the two MD5 digests must agree — promote ≡ one-shot broadcast,
+    rollback ≡ never rolled out, under sustained load.  Any divergence,
+    invariant violation, cohort accounting mismatch, or epoch crossing
+    is a nonzero exit.  Every stage runs between ticks. *)
+let run_rollout_soak (secs : float) : H.Registry.t =
+  let reg, sched = make_fleet () in
+  let sreg, ssched = make_fleet () in
   say
     "rollout soak: %d sessions for %.0f s, staged rollout every ~5 s \
      (seeded promote/rollback); lockstep flat-broadcast shadow fleet for \
@@ -735,53 +659,47 @@ let run_rollout_soak (secs : float) : H.Registry.t * driver =
         offer_burst reg rngs.(i) id;
         offer_burst sreg srngs.(i) id)
       targets;
-    dr.dr_tick ();
-    sdr.dr_tick ()
+    ignore (H.Scheduler.tick sched);
+    ignore (H.Scheduler.tick ssched)
   in
   let all = Array.to_list ids in
   let crng = Prng.create (Prng.derive !seed 999_983) in
   let version = ref 0 in
   let promoted = ref 0 and rolled_back = ref 0 in
-  let t0 = Unix.gettimeofday () in
+  let t0 = H.Host_metrics.now () in
   let last_rollout = ref t0 in
-  while Unix.gettimeofday () -. t0 < secs do
+  while H.Host_metrics.now () -. t0 < secs do
     round all;
-    let now = Unix.gettimeofday () in
+    let now = H.Host_metrics.now () in
     if now -. !last_rollout >= 5.0 then begin
       last_rollout := now;
       incr version;
       let promote = Prng.bool crng in
       let target = next_edit reg !version in
-      let ro = ref None in
-      dr.dr_excl (fun () ->
-          match
-            H.Rollout.begin_ ~typecheck:!typecheck ~fraction:0.25
-              ~seed:(Prng.derive !seed (7_000 + !version))
-              reg target
-          with
-          | Ok r -> ro := Some r
-          | Error e ->
-              fail "rollout v%d refused: %s" !version
-                (Live_core.Machine.error_to_string e));
-      match !ro with
-      | None -> ()
-      | Some r ->
+      match
+        H.Rollout.begin_ ~typecheck:!typecheck ~fraction:0.25
+          ~seed:(Prng.derive !seed (7_000 + !version))
+          reg target
+      with
+      | Error e ->
+          fail "rollout v%d refused: %s" !version
+            (Live_core.Machine.error_to_string e)
+      | Ok r ->
           let window = if promote then H.Rollout.canary_ids r else all in
           for _ = 1 to 3 do
             round window
           done;
-          dr.dr_excl (fun () ->
-              List.iter
-                (fun o ->
-                  match o.H.Broadcast.outcome with
-                  | Ok _ -> ()
-                  | Error e ->
-                      fail "rollout v%d: canary %d failed: %s" !version
-                        o.H.Broadcast.id
-                        (Live_core.Machine.error_to_string e))
-                (H.Rollout.canary r));
+          List.iter
+            (fun o ->
+              match o.H.Broadcast.outcome with
+              | Ok _ -> ()
+              | Error e ->
+                  fail "rollout v%d: canary %d failed: %s" !version
+                    o.H.Broadcast.id
+                    (Live_core.Machine.error_to_string e))
+            (H.Rollout.canary r);
           if promote then
-            broadcast ~silent:true sdr !version (next_edit sreg !version);
+            broadcast ~silent:true sreg !version (next_edit sreg !version);
           for _ = 1 to 3 do
             round window
           done;
@@ -789,28 +707,27 @@ let run_rollout_soak (secs : float) : H.Registry.t * driver =
           if not (H.Rollout.healthy h) then
             fail "rollout v%d unhealthy mid-canary: %s" !version
               (H.Rollout.summary r);
-          dr.dr_excl (fun () ->
-              if promote then begin
-                incr promoted;
-                List.iter
-                  (fun o ->
-                    match o.H.Broadcast.outcome with
-                    | Ok _ -> ()
-                    | Error e ->
-                        fail "rollout v%d: promote of %d failed: %s" !version
-                          o.H.Broadcast.id
-                          (Live_core.Machine.error_to_string e))
-                  (H.Rollout.promote r)
-              end
-              else begin
-                incr rolled_back;
-                List.iter
-                  (fun (id, e) ->
-                    fail "rollout v%d: rollback replay of %d failed: %s"
-                      !version id
+          if promote then begin
+            incr promoted;
+            List.iter
+              (fun o ->
+                match o.H.Broadcast.outcome with
+                | Ok _ -> ()
+                | Error e ->
+                    fail "rollout v%d: promote of %d failed: %s" !version
+                      o.H.Broadcast.id
                       (Live_core.Machine.error_to_string e))
-                  (H.Rollout.rollback r)
-              end);
+              (H.Rollout.promote r)
+          end
+          else begin
+            incr rolled_back;
+            List.iter
+              (fun (id, e) ->
+                fail "rollout v%d: rollback replay of %d failed: %s" !version
+                  id
+                  (Live_core.Machine.error_to_string e))
+              (H.Rollout.rollback r)
+          end;
           (match H.Registry.check_epochs reg with
           | [] -> ()
           | vs ->
@@ -820,22 +737,18 @@ let run_rollout_soak (secs : float) : H.Registry.t * driver =
                     id m)
                 vs);
           check_fleet reg (Printf.sprintf "after rollout v%d" !version);
-          check_accounting (dr.dr_snapshot ())
+          check_accounting (H.Registry.snapshot reg)
             (Printf.sprintf "after rollout v%d" !version);
           say "  rollout v%d %s (t=%.0fs)\n" !version
             (if promote then "promoted" else "rolled back")
             (now -. t0)
     end
   done;
-  (match dr.dr_drain () with
-  | Ok _ -> ()
-  | Error m -> fail "drain: %s" m);
-  (match sdr.dr_drain () with
-  | Ok _ -> ()
-  | Error m -> fail "shadow drain: %s" m);
+  drain "drain" sched;
+  drain "shadow drain" ssched;
   check_fleet reg "end of rollout soak";
   check_fleet sreg "end of rollout soak (flat shadow)";
-  check_accounting (dr.dr_snapshot ()) "end of rollout soak";
+  check_accounting (H.Registry.snapshot reg) "end of rollout soak";
   if !version = 0 then fail "no rollout was staged during the soak";
   let d = H.Registry.digest reg and sd = H.Registry.digest sreg in
   if String.equal d sd then
@@ -848,8 +761,7 @@ let run_rollout_soak (secs : float) : H.Registry.t * driver =
       "rollout cross-check: staged fleet digest %s <> flat fleet digest %s \
        — promote/rollback is not equivalent to the flat path"
       d sd;
-  sdr.dr_shutdown ();
-  (reg, dr)
+  reg
 
 (* ------------------------------------------------------------------ *)
 (* The wire fleet (lib/net/scenario)                                   *)
@@ -955,7 +867,7 @@ let run_wire_soak (secs : float) : H.Host_metrics.snapshot * string =
     if !shards > 0 then ("shard", 515_151, !detach_every)
     else ("net", 424_242, if !detach_every > 0 then !detach_every else 5)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = H.Host_metrics.now () in
   let rec go chunk =
     let result =
       run_wire
@@ -963,10 +875,10 @@ let run_wire_soak (secs : float) : H.Host_metrics.snapshot * string =
         ~detach_every
         ~label:(Printf.sprintf "%s soak chunk %d" mode chunk)
     in
-    if Unix.gettimeofday () -. t0 < secs then go (chunk + 1)
+    if H.Host_metrics.now () -. t0 < secs then go (chunk + 1)
     else begin
       say "%s soak: %d chunks in %.0f s\n" mode (chunk + 1)
-        (Unix.gettimeofday () -. t0);
+        (H.Host_metrics.now () -. t0);
       result
     end
   in
@@ -987,15 +899,13 @@ let () =
               (if !shards > 0 then Printf.sprintf "shards[%d]" !shards
                else "net")
     else
-      let reg, dr =
+      let reg =
         match (!soak, !rollout_soak) with
         | _, Some s -> run_rollout_soak s
         | Some s, None -> run_soak s
         | None, None -> run_load ()
       in
-      let snap = dr.dr_snapshot () in
-      dr.dr_shutdown ();
-      (snap, if !digest then H.Registry.digest reg else "")
+      (H.Registry.snapshot reg, if !digest then H.Registry.digest reg else "")
   in
   print_newline ();
   print_string (H.Host_metrics.to_string snap);

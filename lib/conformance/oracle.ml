@@ -75,8 +75,8 @@ type config = {
       (** structural comparison applies; the restart baseline drops
           out at its first UPDATE or queue fault *)
   finalize : unit -> unit;
-      (** release owned resources (the parallel host's worker
-          domains); called exactly once by {!run}, on every path *)
+      (** release owned resources (the directed fleet's connection
+          and servers); called exactly once by {!run}, on every path *)
 }
 
 let err_str (e : Machine.error) = Machine.error_to_string e
@@ -315,33 +315,17 @@ let host_config ~(width : int) ~(cache : bool) : Registry.config =
   }
 
 (** The multi-session host (lib/host) as a fleet of one: a tap is
-    offered to the bounded ingress queue and drained by one tick, an
-    update goes through the typecheck-once {!Live_host.Broadcast}.
-    The scheduler batches and coalesces only {e painting}, never the
-    Fig. 9 transitions.  [jobs = None] ticks with the sequential
-    {!Live_host.Scheduler}; [jobs = Some n] with the
-    {!Live_host.Parallel} domain pool, whose updates go through its
-    stop-the-world barrier. *)
-let hosted ?jobs ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
+    offered to the bounded ingress queue and drained by one tick of the
+    {!Live_host.Scheduler} (batch 1, round-robin), an update goes
+    through the typecheck-once {!Live_host.Broadcast}.  The scheduler
+    batches and coalesces only {e painting}, never the Fig. 9
+    transitions. *)
+let hosted ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
     fleet =
   let open Live_host in
   let s = Option.get (Registry.session reg id) in
   sabotage_session sabotage s;
-  let tick, update, stop =
-    match jobs with
-    | None ->
-        let sched =
-          Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg
-        in
-        ( (fun () -> Scheduler.tick sched),
-          (fun code -> Broadcast.update ?typecheck reg code),
-          ignore )
-    | Some jobs ->
-        let pool = Parallel.create ~jobs ~batch:1 reg in
-        ( (fun () -> Parallel.tick pool),
-          (fun code -> Parallel.update ?typecheck pool code),
-          fun () -> Parallel.shutdown pool )
-  in
+  let sched = Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg in
   {
     session = (fun () -> s);
     deliver =
@@ -350,7 +334,7 @@ let hosted ?jobs ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
         | Backpressure.Rejected | Backpressure.Dropped_oldest ->
             Error "ingress queue refused the event"
         | Backpressure.Accepted -> (
-            let r = tick () in
+            let r = Scheduler.tick sched in
             match r.Scheduler.errors with
             | (_, e) :: _ -> Error (err_str e)
             | [] ->
@@ -359,11 +343,11 @@ let hosted ?jobs ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
                 else Ok "ok"));
     update =
       (fun code ->
-        match update code with
+        match Broadcast.update ?typecheck reg code with
         | Ok _report -> Ok "updated"
         | Error e -> Error (err_str e));
     settle = (fun () -> Ok ());
-    stop;
+    stop = ignore;
   }
 
 (** The networked host's persistence path, stressed to the maximum: a
@@ -688,11 +672,6 @@ let with_rollout (reg : Registry.t) (c : config) : config =
 (* The configurations                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** How many domains the ["host-parallel"] configuration runs: enough
-    to actually cross a domain boundary, small enough that a fuzz
-    campaign spawning one pool per trace stays cheap. *)
-let parallel_jobs = 2
-
 (** A hosted fleet of one on a fresh registry. *)
 let spawn (cfg : Registry.config) (boot : Program.t) :
     (Registry.t * Registry.id, string) result =
@@ -717,10 +696,10 @@ let table :
     | Error e -> Error (err_str e)
     | Ok s -> Ok (of_fleet ~width ~name (plain ?sabotage s))
   in
-  let host ?jobs ?typecheck ?(cache = false) () ~name ~width sabotage boot =
+  let host ?typecheck ?(cache = false) () ~name ~width sabotage boot =
     Result.map
       (fun (reg, id) ->
-        of_fleet ~width ~name (hosted ?jobs ?typecheck ?sabotage reg id))
+        of_fleet ~width ~name (hosted ?typecheck ?sabotage reg id))
       (spawn (host_config ~width ~cache) boot)
   in
   [
@@ -737,7 +716,6 @@ let table :
        the scratch and the incremental checker — a verdict
        disagreement surfaces as a status divergence *)
     ("host-incr", host ~cache:true ~typecheck:Broadcast.Cross_check ());
-    ("host-parallel", host ~jobs:parallel_jobs ());
     ( "host-txn",
       fun ~name ~width sabotage boot ->
         Result.map
@@ -805,7 +783,8 @@ let run ?(width = default_width) ?(configs = all_configs) ?sabotage
         let boots = List.map (fun n -> (n, mk n)) configs in
         (* whatever happens below — agreement, divergence, an
            exception — every configuration that booted releases what
-           it owns (the parallel host joins its worker domains) *)
+           it owns (the directed fleet closes its connection and
+           stops its servers) *)
         let finalize_all () =
           List.iter
             (fun (_, r) ->

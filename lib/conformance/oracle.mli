@@ -12,9 +12,8 @@
     - [plain]: the session driven directly;
     - [hosted]: a {!Live_host.Registry} fleet of one — a tap is offered
       to the bounded ingress queue and drained by one tick of the
-      {!Live_host.Scheduler} (batch 1, round-robin) or of a 2-domain
-      {!Live_host.Parallel} pool, an update goes through the
-      typecheck-once {!Live_host.Broadcast};
+      {!Live_host.Scheduler} (batch 1, round-robin), an update goes
+      through the typecheck-once {!Live_host.Broadcast};
     - [recycled]: a hosted fleet that detaches and resumes after every
       step: {!Live_net.Snapshot}, a {!Live_net.Wire} [Resume]
       round-trip, a byte-identical re-print check, restore, and
@@ -39,7 +38,6 @@
     incremental    with_txn (plain Session, Sec. 5 layout cache)
     host           with_txn (hosted, Scheduler)
     host-incr      with_txn (hosted, Scheduler, render cache, Cross_check)
-    host-parallel  with_txn (hosted, 2-domain Parallel pool)
     host-txn       with_rollout (hosted, Scheduler, render cache, Cross_check)
     host-net       with_txn (recycled (hosted, Scheduler))
     host-director  with_txn (directed, 2 shards)

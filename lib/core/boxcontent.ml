@@ -71,14 +71,13 @@ let index_mem (idx : handler_index) (v : Ast.value) : bool =
    box content is immutable, so [==] identifies "the same display".
    RENDER installs a new tree and the next tap rebuilds the index.
 
-   The slot is domain-local: the parallel host (lib/host/parallel)
-   taps sessions from several domains at once, and a single global
-   slot would be both a data race and a ping-pong between domains.
-   Session affinity within a tick means each domain keeps validating
-   taps against the display it just served, so the memo hits exactly
-   as often as the sequential one did.  The memo only short-circuits
-   index construction — [index_mem] re-verifies membership — so it can
-   never change a result, only its cost. *)
+   The slot is domain-local: sessions tapped from several domains at
+   once would make a single global slot both a data race and a
+   ping-pong between domains, while a domain serving a run of taps
+   keeps validating them against the display it just served.  The
+   memo only short-circuits index construction — [index_mem]
+   re-verifies membership — so it can never change a result, only its
+   cost. *)
 let index_memo : (t * handler_index) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

@@ -565,10 +565,10 @@ let compile_incremental ~(diff : Program_diff.t) (old_ct : t)
   ct
 
 (* The compile cache: a small association list keyed by physical
-   program identity, published by CAS so concurrent domains (the
-   parallel host's workers booting sessions) never tear it.  Losing a
-   race just means one redundant compilation — compiled code is
-   deterministic, and site ids are globally unique either way. *)
+   program identity, published by CAS so sessions booting on
+   concurrent domains never tear it.  Losing a race just means one
+   redundant compilation — compiled code is deterministic, and site
+   ids are globally unique either way. *)
 let cache_limit = 8
 
 let cache : (Program.t * t) list Atomic.t = Atomic.make []

@@ -24,11 +24,11 @@
 
     Compiled code is {b immutable} after {!get} returns: the per-program
     tables are populated during compilation and only read afterwards,
-    so one compiled program is safely shared read-only across the
-    parallel host's domains.  {!get} memoizes by physical program
-    identity in a lock-free (CAS-published) cache; a racing duplicate
-    compilation is benign because compilation is deterministic up to
-    cache-private subtree site ids. *)
+    so one compiled program is safely shared read-only across domains.
+    {!get} memoizes by physical program identity in a lock-free
+    (CAS-published) cache; a racing duplicate compilation is benign
+    because compilation is deterministic up to cache-private subtree
+    site ids. *)
 
 type t
 (** A program compiled to closures.  Immutable; safe to share across

@@ -8,12 +8,11 @@
 
 module SS = Ast.StringSet
 
-(* Atomic so concurrent domains never tear the counter.  In the
-   parallel host this path is in fact unreachable — sessions evaluate
-   closed programs, where capture is impossible — but the small-step
-   specification machine substitutes into arbitrary terms, and a
-   module-level [ref] would be the kind of silent shared state the
-   domain audit exists to rule out. *)
+(* Atomic so concurrent domains never tear the counter.  Sessions never
+   reach this path — they evaluate closed programs, where capture is
+   impossible — but the small-step specification machine substitutes
+   into arbitrary terms, and a module-level [ref] would be the kind of
+   silent shared state the domain audit exists to rule out. *)
 let rename_counter = Atomic.make 0
 
 let rename_away x avoid =

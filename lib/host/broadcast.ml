@@ -109,9 +109,7 @@ let update ?(typecheck = Incremental)
   | Ok () ->
       (* compile once, before the fan-out: every session's first
          dispatch/render under the new code hits the warm compile
-         cache, mirroring the typecheck-once contract.  (Under the
-         parallel host this runs inside the stop-the-world update
-         barrier, so priming is single-threaded.)  With a usable diff
+         cache, mirroring the typecheck-once contract.  With a usable diff
          the compilation itself is incremental: only the dirty
          definitions are recompiled, the rest keep their closures and
          memoization site ids. *)

@@ -55,7 +55,7 @@ let hist_count (h : histogram) = h.count
 
 (** Bucket-wise union: counts, sums and extrema add exactly, so every
     quantile of the union is computed from the same log-bucket data the
-    two inputs held — merging per-domain histograms loses nothing a
+    two inputs held — merging per-shard histograms loses nothing a
     single shared histogram would have kept (quantile-safe). *)
 let union_histogram (a : histogram) (b : histogram) : histogram =
   {
@@ -152,16 +152,14 @@ let create () =
   }
 
 (** Sum of two metric instances, as a fresh instance (the inputs keep
-    counting).  This is how the parallel host turns its per-domain
+    counting).  This is how the director turns its shards' exported
     instances into fleet totals: every counter adds, both histograms
-    union bucket-wise, and [fanout_last_ns] takes the non-zero side
-    (only the coordinating instance ever records a fan-out).
+    union bucket-wise, and [fanout_last_ns] takes the non-zero side.
 
     Because addition is exact, the accounting identity is preserved:
     if [in_a = processed_a + dropped_a + rejected_a + pending_a] and
     likewise for [b], the merged snapshot satisfies it with the summed
-    pending — which is exactly what {!Registry}'s atomic total pending
-    reports.  [test/test_parallel.ml] proves this as a unit test. *)
+    pending.  [test/test_host.ml] checks this as a unit test. *)
 let merge (a : t) (b : t) : t =
   {
     events_in = a.events_in + b.events_in;

@@ -87,9 +87,9 @@ val create : unit -> t
 val merge : t -> t -> t
 (** Exact sum of two instances as a fresh instance: counters add,
     histograms union, [fanout_last_ns] keeps the non-zero side.  The
-    parallel host ({!Parallel}) folds its per-domain instances into
-    the registry's ingress-side instance with this; addition being
-    exact, the accounting identity survives the merge. *)
+    director folds its shards' exported instances into fleet totals
+    with this ({!merge_exported}); addition being exact, the
+    accounting identity survives the merge. *)
 
 val merge_all : t list -> t
 (** [merge] folded over a list (empty list = zeros). *)

@@ -69,13 +69,11 @@ type t = {
           while a rollout is open (target, then base). *)
   mutable rollout_open : bool;
   pending_total : int Atomic.t;
-      (** cached sum of ingress lengths.  Atomic because it is the one
-          counter genuinely shared across domains: the coordinator
-          increments it on [offer] while the parallel host's worker
-          domains decrement it through [take].  Everything else in the
-          registry is either written only between ticks (entries,
-          order, program, the ingress-side metrics) or owned by one
-          domain per tick (each session and its queue). *)
+      (** cached sum of ingress lengths, incremented by [offer] and
+          decremented by [take].  Atomic so the count stays exact even
+          if [offer] and [take] ever run on different domains; the
+          rest of the registry is written only by the domain that
+          offers and ticks. *)
   metrics : Host_metrics.t;
 }
 
@@ -364,18 +362,9 @@ let cache_totals (t : t) : (int * int) option =
                   m + s.Live_core.Render_cache.misses )))
     None t.order
 
-let snapshot_merged (t : t) ~(extra : Host_metrics.t list) :
-    Host_metrics.snapshot =
-  let cache = cache_totals t in
-  let m =
-    match extra with
-    | [] -> t.metrics
-    | _ -> Host_metrics.merge_all (t.metrics :: extra)
-  in
-  Host_metrics.snapshot m ~sessions:(size t)
-    ~pending:(Atomic.get t.pending_total) ~cache
-
-let snapshot (t : t) : Host_metrics.snapshot = snapshot_merged t ~extra:[]
+let snapshot (t : t) : Host_metrics.snapshot =
+  Host_metrics.snapshot t.metrics ~sessions:(size t)
+    ~pending:(Atomic.get t.pending_total) ~cache:(cache_totals t)
 
 let export_metrics (t : t) : string =
   Host_metrics.export t.metrics ~sessions:(size t)
@@ -385,9 +374,9 @@ let export_metrics (t : t) : string =
     store (sorted), page stack and painted pixels, in id order, hashed
     with MD5.  Two fleets that processed the same per-session event
     sequences digest identically whatever the cross-session
-    interleaving was; this is the determinism contract the parallel
-    host is held to ([host_bench --digest], bench B11, and the
-    equivalence properties in [test/test_parallel.ml]). *)
+    interleaving was ([host_bench --digest] under either [--policy],
+    and the round-robin ≡ hottest-first property in
+    [test/test_host.ml]). *)
 let observe_session (s : Session.t) : string =
   let st = Session.state s in
   let store =

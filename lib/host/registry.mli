@@ -164,11 +164,6 @@ val snapshot : t -> Host_metrics.snapshot
 (** Freeze the metrics, aggregating render-cache hits/misses across
     the fleet and the current total pending count. *)
 
-val snapshot_merged : t -> extra:Host_metrics.t list -> Host_metrics.snapshot
-(** Like {!snapshot}, with [extra] per-domain {!Host_metrics}
-    instances merged into the registry's own before freezing — the
-    parallel host's fleet totals ({!Parallel.snapshot} calls this). *)
-
 val cache_totals : t -> (int * int) option
 (** Fleet-aggregated render-cache (hits, misses); [None] when no
     session runs the cache. *)
@@ -184,9 +179,10 @@ val observe_session : Live_runtime.Session.t -> string
 
 val digest : t -> string
 (** MD5 over every session's observation in id order: the fleet's
-    observable state as one hex string.  Sequential and parallel hosts
-    replaying the same seeded trace must digest identically for every
-    [--jobs] — the determinism contract of [lib/host/parallel]. *)
+    observable state as one hex string.  Fleets replaying the same
+    seeded per-session event sequences digest identically whatever the
+    cross-session interleaving, so either {!Scheduler.policy} and
+    either evaluator land on the same digest. *)
 
 val digest_cohort : t -> id list -> string
 (** {!digest} restricted to a cohort (always hashed in id order,

@@ -28,10 +28,10 @@
     change set is the transaction, the canary cohort is its dynamic
     scope.
 
-    Concurrency: every stage mutates fleet-shared structures and must
-    run with the fleet quiescent — under {!Parallel}, wrap each stage
-    in {!Parallel.exclusive} (the same stop-the-world discipline as a
-    broadcast). *)
+    Concurrency: every stage mutates fleet-shared structures (the
+    epoch table, session pins, checkpoints), so call it between
+    {!Scheduler.tick}s, never during one — the same discipline as a
+    broadcast. *)
 
 type stage =
   | Staged  (** typechecked and epoch-registered; no session touched *)

@@ -36,68 +36,6 @@ type tick_report = {
   latency_ns : float;
 }
 
-type service = {
-  sv_processed : int;
-  sv_taps_hit : int;
-  sv_taps_missed : int;
-  sv_painted : bool;  (** at least one event drained, one frame painted *)
-  sv_errors : (Registry.id * Machine.error) list;  (** oldest first *)
-}
-
-(** Serve one session: drain up to [batch] pending events in FIFO
-    order, run each through the ordinary TAP / BACK transition, and
-    paint a single frame iff anything was drained.  This is the unit
-    of work both the sequential tick below and the parallel host's
-    worker domains execute — everything it touches (the session, its
-    ingress queue) belongs to exactly one caller at a time, so it is
-    safe on any domain under the parallel host's session-affinity
-    discipline, and its per-session behaviour is identical wherever it
-    runs (the determinism the ["host-parallel"] oracle configuration
-    enforces). *)
-let serve (reg : Registry.t) ~(batch : int) (id : Registry.id) : service =
-  match Registry.session reg id with
-  | None ->
-      {
-        sv_processed = 0;
-        sv_taps_hit = 0;
-        sv_taps_missed = 0;
-        sv_painted = false;
-        sv_errors = [];
-      }
-  | Some s ->
-      let n = ref 0 in
-      let taps_hit = ref 0 in
-      let taps_missed = ref 0 in
-      let errors = ref [] in
-      let continue = ref true in
-      while !continue && !n < batch do
-        match Registry.take reg id with
-        | None -> continue := false
-        | Some ev ->
-            incr n;
-            (match ev with
-            | Registry.Tap { x; y } -> (
-                match Session.tap s ~x ~y with
-                | Ok Session.Tapped -> incr taps_hit
-                | Ok Session.No_handler -> incr taps_missed
-                | Error e -> errors := (id, e) :: !errors)
-            | Registry.Back -> (
-                match Session.back s with
-                | Ok () -> ()
-                | Error e -> errors := (id, e) :: !errors))
-      done;
-      if !n > 0 then
-        (* the batch's single frame: paint once however many events
-           the session just absorbed *)
-        ignore (Session.screenshot s);
-      {
-        sv_processed = !n;
-        sv_taps_hit = !taps_hit;
-        sv_taps_missed = !taps_missed;
-        sv_painted = !n > 0;
-        sv_errors = List.rev !errors;
-      }
-
 (** The service order for this tick.  Round-robin rotates the spawn
     ring by one each tick; hottest-first sorts by pending backlog
     (ties by id, so the order is deterministic). *)
@@ -131,12 +69,34 @@ let tick (t : t) : tick_report =
   let errors = ref [] in
   List.iter
     (fun id ->
-      let sv = serve t.reg ~batch:t.batch id in
-      processed := !processed + sv.sv_processed;
-      taps_hit := !taps_hit + sv.sv_taps_hit;
-      taps_missed := !taps_missed + sv.sv_taps_missed;
-      if sv.sv_painted then incr served;
-      errors := List.rev_append sv.sv_errors !errors)
+      match Registry.session t.reg id with
+      | None -> ()
+      | Some s ->
+          let n = ref 0 in
+          let continue = ref true in
+          while !continue && !n < t.batch do
+            match Registry.take t.reg id with
+            | None -> continue := false
+            | Some ev -> (
+                incr n;
+                match ev with
+                | Registry.Tap { x; y } -> (
+                    match Session.tap s ~x ~y with
+                    | Ok Session.Tapped -> incr taps_hit
+                    | Ok Session.No_handler -> incr taps_missed
+                    | Error e -> errors := (id, e) :: !errors)
+                | Registry.Back -> (
+                    match Session.back s with
+                    | Ok () -> ()
+                    | Error e -> errors := (id, e) :: !errors))
+          done;
+          if !n > 0 then begin
+            (* the batch's single frame: paint once however many
+               events the session just absorbed *)
+            ignore (Session.screenshot s);
+            processed := !processed + !n;
+            incr served
+          end)
     (service_order t);
   let latency_ns = (Host_metrics.now () -. t0) *. 1e9 in
   m.Host_metrics.ticks <- m.Host_metrics.ticks + 1;

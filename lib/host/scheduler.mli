@@ -32,23 +32,6 @@ val create :
     session per tick.  Each tick is timed into the registry's
     metrics. *)
 
-(** The result of serving one session once (see {!serve}). *)
-type service = {
-  sv_processed : int;  (** events drained, <= the batch bound *)
-  sv_taps_hit : int;
-  sv_taps_missed : int;
-  sv_painted : bool;  (** a frame was painted (>= 1 event drained) *)
-  sv_errors : (Registry.id * Live_core.Machine.error) list;  (** oldest first *)
-}
-
-val serve : Registry.t -> batch:int -> Registry.id -> service
-(** Drain up to [batch] events for one session in FIFO order and paint
-    a single coalesced frame if anything was drained — the unit of
-    work shared by the sequential {!tick} and the parallel host's
-    worker domains ({!Parallel}).  Touches only the session and its
-    ingress queue, so it may run on any domain as long as no other
-    domain serves the same session concurrently. *)
-
 type tick_report = {
   processed : int;  (** events drained and applied this tick *)
   sessions_served : int;  (** sessions that processed >= 1 event *)
@@ -63,8 +46,11 @@ type tick_report = {
 }
 
 val tick : t -> tick_report
-(** One scheduling round under the configured policy.  A tick with no
-    pending events is a cheap no-op (still counted and timed). *)
+(** One scheduling round under the configured policy: each session in
+    service order drains up to [batch] events in FIFO order and, if it
+    drained any, paints one coalesced frame.  A tick with no pending
+    events is a cheap no-op (still counted and timed).  This is the
+    only code that ticks a registry. *)
 
 val drain : ?max_ticks:int -> t -> (int, string) result
 (** Tick until no events are pending; returns the total processed.

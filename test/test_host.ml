@@ -3,9 +3,10 @@
     independently (and all-or-nothing on a failed typecheck), the
     bounded ingress queues must enforce their policies with exact
     loss accounting, the batching scheduler must drain fairly and
-    coalesce only repaints, and a fleet of one must agree with the
-    reference machine on random traces (the oracle's ["host"]
-    configuration). *)
+    coalesce only repaints, its service order must be invisible in the
+    fleet digest, metrics must merge exactly, and a fleet of one must
+    agree with the reference machine on random traces (the oracle's
+    ["host"] configuration). *)
 
 open Helpers
 module H = Live_host
@@ -390,6 +391,79 @@ let test_scheduler_policy_strings () =
   Alcotest.(check bool) "unknown policy" true
     (H.Scheduler.policy_of_string "nope" = None)
 
+(** Replay one seeded load scenario — per-session event bursts,
+    mid-stream broadcasts, a final drain — under one service policy,
+    and return the canonical fleet digest plus the loss-accounting
+    counters.  The ingress queues are deliberately tiny so drop-oldest
+    evictions happen: the digest's independence from the cross-session
+    interleaving must cover the lossy path too. *)
+let run_scenario ~sessions ~seed (policy : H.Scheduler.policy) :
+    string * (int * int * int * int) =
+  let config =
+    {
+      H.Registry.default_config with
+      H.Registry.width;
+      queue_capacity = 2;
+      queue_policy = H.Backpressure.Drop_oldest;
+    }
+  in
+  let reg, ids = make_fleet ~config ~sessions 0 in
+  let sched = H.Scheduler.create ~policy ~batch:8 reg in
+  let streams =
+    List.map (fun id -> (id, Prng.create (Prng.derive seed id))) ids
+  in
+  let offer_burst (id, rng) =
+    for _ = 0 to Prng.int rng 3 do
+      let ev =
+        if Prng.int rng 10 = 0 then H.Registry.Back
+        else
+          H.Registry.Tap
+            { x = Prng.int rng width; y = Prng.int rng (rows + 3) }
+      in
+      ignore (H.Registry.offer reg id ev)
+    done
+  in
+  let version = ref 0 in
+  for round = 0 to 13 do
+    List.iter offer_burst streams;
+    ignore (H.Scheduler.tick sched);
+    if round = 4 || round = 9 then begin
+      incr version;
+      match H.Broadcast.update reg (app !version) with
+      | Ok _ -> ()
+      | Error e ->
+          Alcotest.failf "broadcast: %s" (Live_core.Machine.error_to_string e)
+    end
+  done;
+  (match H.Scheduler.drain sched with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  check_accounting reg (H.Scheduler.policy_to_string policy);
+  Alcotest.(check (list int))
+    "violation-free fleet" []
+    (List.map fst (H.Registry.check_invariants reg));
+  let s = H.Registry.snapshot reg in
+  ( H.Registry.digest reg,
+    ( s.H.Host_metrics.s_events_in,
+      s.H.Host_metrics.s_events_processed,
+      s.H.Host_metrics.s_events_dropped,
+      s.H.Host_metrics.s_events_rejected ) )
+
+let prop_service_order_is_invisible =
+  qcheck ~count:12
+    "round-robin ≡ hottest-first: byte-identical fleets, exact accounting, \
+     under broadcasts and drops"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let sessions = 2 + (seed mod 4) in
+      let d0, acct0 = run_scenario ~sessions ~seed H.Scheduler.Round_robin in
+      let d1, acct1 = run_scenario ~sessions ~seed H.Scheduler.Hottest_first in
+      if not (String.equal d0 d1) then
+        QCheck2.Test.fail_reportf "fleet digest diverges (seed %d)" seed
+      else if acct0 <> acct1 then
+        QCheck2.Test.fail_reportf "accounting diverges (seed %d)" seed
+      else true)
+
 (* -- metrics ------------------------------------------------------- *)
 
 let test_histogram_quantiles () =
@@ -436,6 +510,69 @@ let test_histogram_wide_distribution () =
     Alcotest.failf "p50 %.0f not below p99 %.0f on a wide distribution" p50 p99;
   if p50 > 2_000_000. then Alcotest.failf "p50 %.0f escaped the bulk" p50;
   if p99 < 500_000_000. then Alcotest.failf "p99 %.0f missed the tail" p99
+
+(* The shard director merges its shards' exported metrics into fleet
+   totals with [merge] and [union_histogram]. *)
+
+let test_metrics_merge_accounting () =
+  (* two instances that each satisfy the accounting identity against
+     their own pending count *)
+  let a = H.Host_metrics.create () in
+  a.H.Host_metrics.events_in <- 100;
+  a.H.Host_metrics.events_processed <- 70;
+  a.H.Host_metrics.events_dropped <- 15;
+  a.H.Host_metrics.events_rejected <- 10;
+  let pending_a = 5 in
+  let b = H.Host_metrics.create () in
+  b.H.Host_metrics.events_in <- 40;
+  b.H.Host_metrics.events_processed <- 33;
+  b.H.Host_metrics.events_rejected <- 4;
+  let pending_b = 3 in
+  let ok m pending =
+    H.Host_metrics.accounting_ok
+      (H.Host_metrics.snapshot m ~sessions:1 ~pending ~cache:None)
+  in
+  Alcotest.(check bool) "a accounts" true (ok a pending_a);
+  Alcotest.(check bool) "b accounts" true (ok b pending_b);
+  let m = H.Host_metrics.merge a b in
+  Alcotest.(check bool)
+    "the identity survives the merge" true
+    (ok m (pending_a + pending_b));
+  Alcotest.(check int) "counters add exactly" 140 m.H.Host_metrics.events_in;
+  Alcotest.(check int) "processed adds" 103 m.H.Host_metrics.events_processed;
+  (* the inputs keep counting: merge is a fresh instance *)
+  a.H.Host_metrics.events_in <- 101;
+  Alcotest.(check int) "merge is a snapshot, not a view" 140
+    m.H.Host_metrics.events_in
+
+let test_histogram_union () =
+  let a = H.Host_metrics.histogram () in
+  let b = H.Host_metrics.histogram () in
+  (* disjoint ranges: a holds 1..500 us, b holds 501..1000 us *)
+  for i = 1 to 500 do
+    H.Host_metrics.record a (float_of_int i *. 1000.)
+  done;
+  for i = 501 to 1000 do
+    H.Host_metrics.record b (float_of_int i *. 1000.)
+  done;
+  let u = H.Host_metrics.union_histogram a b in
+  Alcotest.(check int) "counts add" 1000 (H.Host_metrics.hist_count u);
+  let p50 = H.Host_metrics.quantile u 0.5 in
+  let p99 = H.Host_metrics.quantile u 0.99 in
+  if p50 < 400_000. || p50 > 600_000. then
+    Alcotest.failf "union p50 %.0f outside [400k, 600k]" p50;
+  if p99 < 800_000. || p99 > 1_000_000. then
+    Alcotest.failf "union p99 %.0f outside [800k, 1000k]" p99;
+  (* extrema union: quantiles clamp to the combined observed range *)
+  Alcotest.(check (float 0.0))
+    "q=1 clamps to b's max" 1_000_000.
+    (H.Host_metrics.quantile u 1.);
+  let q0 = H.Host_metrics.quantile u 0. in
+  if q0 < 1000. || q0 > 1200. then
+    Alcotest.failf "union q=0 is %.0f, not near a's min" q0;
+  (* the union is fresh: recording into an input changes nothing *)
+  H.Host_metrics.record a 1.;
+  Alcotest.(check int) "fresh" 1000 (H.Host_metrics.hist_count u)
 
 let test_metrics_dump () =
   let reg, ids = make_fleet ~sessions:2 0 in
@@ -487,9 +624,13 @@ let suite =
       test_scheduler_batching_and_coalescing;
     case "hottest-first serves the backlog" test_scheduler_hottest_first;
     case "policy names round-trip" test_scheduler_policy_strings;
+    prop_service_order_is_invisible;
     case "histogram quantiles are sane" test_histogram_quantiles;
     case "histogram separates p50 from p99 on a wide spread"
       test_histogram_wide_distribution;
+    case "Host_metrics.merge preserves the accounting identity"
+      test_metrics_merge_accounting;
+    case "histogram union is quantile-safe" test_histogram_union;
     case "the metrics dump names its numbers" test_metrics_dump;
     case "host rides the differential fuzzer" test_host_is_an_oracle_config;
     prop_fleet_of_one_agrees_with_machine;

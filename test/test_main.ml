@@ -47,7 +47,6 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("conformance", Test_conformance.suite);
       ("host", Test_host.suite);
-      ("parallel", Test_parallel.suite);
       ("rollout", Test_rollout.suite);
       ("net", Test_net.suite);
       ("director", Test_director.suite);

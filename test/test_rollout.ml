@@ -9,9 +9,8 @@
 
     plus the window invariants: interleaved traffic never crosses
     epochs, and the per-cohort ingress ledgers keep the accounting
-    identity separately and summed.  Every property is checked under
-    both expression engines and under the domain-parallel host
-    (rollout stages wrapped in {!Live_host.Parallel.exclusive}). *)
+    identity separately and summed.  Both identities are checked under
+    both expression engines. *)
 
 open Helpers
 module H = Live_host
@@ -30,21 +29,13 @@ let app version : Live_core.Program.t =
 type resolution = Promote | Rollback
 
 (* ------------------------------------------------------------------ *)
-(* A fleet driver: sequential scheduler or parallel pool               *)
+(* A fleet and its scheduler                                           *)
 (* ------------------------------------------------------------------ *)
 
-type excl = { run : 'a. (unit -> 'a) -> 'a }
+type driver = { reg : H.Registry.t; sched : H.Scheduler.t }
 
-type driver = {
-  reg : H.Registry.t;
-  tick : unit -> unit;
-  drain : unit -> unit;
-  excl : excl;  (** the stop-the-world discipline for rollout stages *)
-  stop : unit -> unit;
-}
-
-let make_driver ~(evaluator : Machine.evaluator) ~(jobs : int option)
-    (base : Live_core.Program.t) : driver =
+let make_driver ~(evaluator : Machine.evaluator) (base : Live_core.Program.t) :
+    driver =
   let config =
     {
       H.Registry.default_config with
@@ -56,38 +47,12 @@ let make_driver ~(evaluator : Machine.evaluator) ~(jobs : int option)
     }
   in
   let reg = H.Registry.create ~config base in
-  match jobs with
-  | None ->
-      let sched = H.Scheduler.create ~batch:4 reg in
-      {
-        reg;
-        tick = (fun () -> ignore (H.Scheduler.tick sched));
-        drain =
-          (fun () ->
-            match H.Scheduler.drain sched with
-            | Ok _ -> ()
-            | Error m -> Alcotest.fail m);
-        excl = { run = (fun f -> f ()) };
-        stop = ignore;
-      }
-  | Some j ->
-      let pool = H.Parallel.create ~jobs:j ~batch:4 reg in
-      {
-        reg;
-        tick = (fun () -> ignore (H.Parallel.tick pool));
-        drain =
-          (fun () ->
-            match H.Parallel.drain pool with
-            | Ok _ -> ()
-            | Error m -> Alcotest.fail m);
-        excl = { run = (fun f -> H.Parallel.exclusive pool f) };
-        stop =
-          (fun () ->
-            Alcotest.(check int)
-              "no barrier violations" 0
-              (H.Parallel.barrier_violations pool);
-            H.Parallel.shutdown pool);
-      }
+  { reg; sched = H.Scheduler.create ~batch:4 reg }
+
+let drain (d : driver) =
+  match H.Scheduler.drain d.sched with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m
 
 (** One seeded traffic round: a burst per target, then a tick.  RNG
     consumption depends only on the target list, so a staged fleet and
@@ -106,7 +71,7 @@ let offer_round (d : driver) (rng : Prng.t) (targets : H.Registry.id list) :
         ignore (H.Registry.offer d.reg id ev)
       done)
     targets;
-  d.tick ()
+  ignore (H.Scheduler.tick d.sched)
 
 let ok_rollout what = function
   | Ok r -> r
@@ -121,10 +86,9 @@ let ok_rollout what = function
     the canaries only when promoting (the shadow cohort must end
     having seen exactly what a one-shot broadcast fleet saw) and to
     everyone when rolling back (replay must cover the whole window). *)
-let run_staged ~evaluator ~jobs ~(resolution : resolution) ~(seed : int) () :
+let run_staged ~evaluator ~(resolution : resolution) ~(seed : int) () :
     string * H.Registry.id list =
-  let d = make_driver ~evaluator ~jobs (app 0) in
-  Fun.protect ~finally:d.stop @@ fun () ->
+  let d = make_driver ~evaluator (app 0) in
   let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg sessions) in
   let all = H.Registry.ids d.reg in
   let rng = Prng.create (Prng.derive seed 1) in
@@ -132,9 +96,7 @@ let run_staged ~evaluator ~jobs ~(resolution : resolution) ~(seed : int) () :
     offer_round d rng all
   done;
   let r =
-    d.excl.run (fun () ->
-        ok_rollout "begin_"
-          (H.Rollout.begin_ ~fraction:0.34 ~seed d.reg (app 1)))
+    ok_rollout "begin_" (H.Rollout.begin_ ~fraction:0.34 ~seed d.reg (app 1))
   in
   let canary = H.Rollout.canary_ids r in
   Alcotest.(check int) "ceil(0.34 * 6) canaries" 3 (List.length canary);
@@ -143,7 +105,7 @@ let run_staged ~evaluator ~jobs ~(resolution : resolution) ~(seed : int) () :
   in
   (* traffic against the Staged (not yet canaried) window *)
   offer_round d rng window;
-  let _ = d.excl.run (fun () -> H.Rollout.canary r) in
+  let _ = H.Rollout.canary r in
   (* interleaved traffic, with the fleet split across two epochs *)
   for _ = 1 to 2 do
     offer_round d rng window
@@ -165,7 +127,7 @@ let run_staged ~evaluator ~jobs ~(resolution : resolution) ~(seed : int) () :
         (H.Registry.session_epoch d.reg id))
     all;
   (* prop: the side-by-side health check holds mid-window *)
-  let h = d.excl.run (fun () -> H.Rollout.observe r) in
+  let h = H.Rollout.observe r in
   if not (H.Rollout.healthy h) then
     Alcotest.failf "unhealthy mid-window: %s" (H.Rollout.summary r);
   (* prop: cohort ledgers sum exactly to the fleet's ingress total *)
@@ -175,20 +137,20 @@ let run_staged ~evaluator ~jobs ~(resolution : resolution) ~(seed : int) () :
     (h.H.Rollout.canary_accounting.H.Registry.ca_in
     + h.H.Rollout.shadow_accounting.H.Registry.ca_in);
   (* a flat broadcast is refused while the window is open *)
-  (match d.excl.run (fun () -> H.Broadcast.update d.reg (app 2)) with
+  (match H.Broadcast.update d.reg (app 2) with
   | Error (Machine.Not_enabled _) -> ()
   | Ok _ -> Alcotest.fail "flat broadcast during an open rollout accepted"
   | Error e ->
       Alcotest.failf "unexpected refusal: %s" (Machine.error_to_string e));
   (match resolution with
   | Promote ->
-      let _ = d.excl.run (fun () -> H.Rollout.promote r) in
+      let _ = H.Rollout.promote r in
       Alcotest.(check int)
         "target epoch installed"
         (H.Rollout.target_epoch r)
         (H.Registry.current_epoch d.reg)
   | Rollback -> (
-      match d.excl.run (fun () -> H.Rollout.rollback r) with
+      match H.Rollout.rollback r with
       | [] -> ()
       | (id, e) :: _ ->
           Alcotest.failf "replay error on session %d: %s" id
@@ -203,16 +165,15 @@ let run_staged ~evaluator ~jobs ~(resolution : resolution) ~(seed : int) () :
   for _ = 1 to 2 do
     offer_round d rng all
   done;
-  d.drain ();
+  drain d;
   (H.Registry.digest d.reg, canary)
 
 (** The control twin: identical fleet, identical seeded load, no
     rollout machinery at all — a promoted transaction is one flat
     broadcast at the canary point, a rolled-back one is nothing. *)
-let run_control ~evaluator ~jobs ~(resolution : resolution) ~(seed : int)
+let run_control ~evaluator ~(resolution : resolution) ~(seed : int)
     ~(canary : H.Registry.id list) () : string =
-  let d = make_driver ~evaluator ~jobs (app 0) in
-  Fun.protect ~finally:d.stop @@ fun () ->
+  let d = make_driver ~evaluator (app 0) in
   let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg sessions) in
   let all = H.Registry.ids d.reg in
   let rng = Prng.create (Prng.derive seed 1) in
@@ -227,7 +188,7 @@ let run_control ~evaluator ~jobs ~(resolution : resolution) ~(seed : int)
   (* canary point: the one-shot broadcast, or nothing at all *)
   (match resolution with
   | Promote -> (
-      match d.excl.run (fun () -> H.Broadcast.update d.reg (app 1)) with
+      match H.Broadcast.update d.reg (app 1) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "broadcast: %s" (Machine.error_to_string e))
   | Rollback -> ());
@@ -238,7 +199,7 @@ let run_control ~evaluator ~jobs ~(resolution : resolution) ~(seed : int)
   for _ = 1 to 2 do
     offer_round d rng all
   done;
-  d.drain ();
+  drain d;
   H.Registry.digest d.reg
 
 (* ------------------------------------------------------------------ *)
@@ -251,12 +212,11 @@ let prop_promote_equals_broadcast =
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let dg, canary =
-        run_staged ~evaluator:Machine.Compiled ~jobs:None
-          ~resolution:Promote ~seed ()
+        run_staged ~evaluator:Machine.Compiled ~resolution:Promote ~seed ()
       in
       let dc =
-        run_control ~evaluator:Machine.Compiled ~jobs:None
-          ~resolution:Promote ~seed ~canary ()
+        run_control ~evaluator:Machine.Compiled ~resolution:Promote ~seed
+          ~canary ()
       in
       String.equal dg dc
       || QCheck2.Test.fail_reportf "promote digest diverges (seed %d)" seed)
@@ -267,12 +227,11 @@ let prop_rollback_equals_never_rolled_out =
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let dg, canary =
-        run_staged ~evaluator:Machine.Compiled ~jobs:None
-          ~resolution:Rollback ~seed ()
+        run_staged ~evaluator:Machine.Compiled ~resolution:Rollback ~seed ()
       in
       let dc =
-        run_control ~evaluator:Machine.Compiled ~jobs:None
-          ~resolution:Rollback ~seed ~canary ()
+        run_control ~evaluator:Machine.Compiled ~resolution:Rollback ~seed
+          ~canary ()
       in
       String.equal dg dc
       || QCheck2.Test.fail_reportf "rollback digest diverges (seed %d)" seed)
@@ -287,8 +246,7 @@ let prop_traffic_never_crosses_epochs =
     QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 2))
     (fun (seed, f3) ->
       let fraction = [| 0.2; 0.51; 0.9 |].(f3) in
-      let d = make_driver ~evaluator:Machine.Compiled ~jobs:None (app 0) in
-      Fun.protect ~finally:d.stop @@ fun () ->
+      let d = make_driver ~evaluator:Machine.Compiled (app 0) in
       let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg sessions) in
       let all = H.Registry.ids d.reg in
       let rng = Prng.create (Prng.derive seed 2) in
@@ -373,43 +331,22 @@ let prop_cohort_accounting_identity =
            "cohort accounting identity broke (seed %d)" seed)
 
 (* ------------------------------------------------------------------ *)
-(* The evaluator × jobs matrix (the acceptance digest check)           *)
+(* The evaluator matrix (the acceptance digest check)                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_digest_matrix () =
   let seed = 4242 in
   List.iter
     (fun resolution ->
-      let combos =
-        [
-          (Machine.Subst, None);
-          (Machine.Subst, Some 1);
-          (Machine.Subst, Some 4);
-          (Machine.Compiled, None);
-          (Machine.Compiled, Some 1);
-          (Machine.Compiled, Some 4);
-        ]
+      let run evaluator =
+        let dg, canary = run_staged ~evaluator ~resolution ~seed () in
+        let dc = run_control ~evaluator ~resolution ~seed ~canary () in
+        Alcotest.(check string) "staged ≡ control" dc dg;
+        dg
       in
-      let digests =
-        List.map
-          (fun (evaluator, jobs) ->
-            let dg, canary =
-              run_staged ~evaluator ~jobs ~resolution ~seed ()
-            in
-            let dc = run_control ~evaluator ~jobs ~resolution ~seed ~canary () in
-            Alcotest.(check string) "staged ≡ control" dc dg;
-            dg)
-          combos
-      in
-      match digests with
-      | d0 :: rest ->
-          List.iteri
-            (fun i d ->
-              Alcotest.(check string)
-                (Printf.sprintf "combo %d digests like combo 0" (i + 1))
-                d0 d)
-            rest
-      | [] -> ())
+      Alcotest.(check string)
+        "compiled digests like subst" (run Machine.Subst)
+        (run Machine.Compiled))
     [ Promote; Rollback ]
 
 (* ------------------------------------------------------------------ *)
@@ -417,7 +354,7 @@ let test_digest_matrix () =
 (* ------------------------------------------------------------------ *)
 
 let test_lifecycle_guards_and_metrics () =
-  let d = make_driver ~evaluator:Machine.Compiled ~jobs:None (app 0) in
+  let d = make_driver ~evaluator:Machine.Compiled (app 0) in
   let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg 3) in
   let m = H.Registry.metrics d.reg in
   let r = ok_rollout "begin_" (H.Rollout.begin_ ~seed:5 d.reg (app 1)) in
@@ -478,7 +415,7 @@ let test_transaction_edit_class () =
   | Some src ->
       let base = (ok_compile base_src).Live_surface.Compile.core in
       let target = (ok_compile src).Live_surface.Compile.core in
-      let d = make_driver ~evaluator:Machine.Compiled ~jobs:None base in
+      let d = make_driver ~evaluator:Machine.Compiled base in
       let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg 4) in
       let r = ok_rollout "begin_" (H.Rollout.begin_ ~fraction:0.5 ~seed:9 d.reg target) in
       check_contains "the change set's dirty definitions are reported"
@@ -503,8 +440,7 @@ let suite =
     prop_traffic_never_crosses_epochs;
     prop_cohort_accounting_identity;
     slow_case
-      "promote ≡ broadcast and rollback ≡ no-op across {subst,compiled} × \
-       {seq, jobs 1, jobs 4}"
+      "promote ≡ broadcast and rollback ≡ no-op across {subst,compiled}"
       test_digest_matrix;
     case "lifecycle guards and rollout metrics"
       test_lifecycle_guards_and_metrics;
