@@ -32,7 +32,8 @@
     - B10 [host_throughput] — the multi-session live host (lib/host):
       events/sec and p50/p99 scheduler-tick latency at fleet sizes
       {1, 10, 100, 1000}, plus broadcast-update fan-out time, under
-      the seeded synthetic load;
+      the seeded synthetic load, and the time and allocation of a tick
+      with one pending tap at fleets {10, 1000};
     - B12 [compiled_eval]   — the closure-compiled evaluator
       (lib/core/compile_eval) against the substitution machine:
       speedup and allocation reduction on the hot render (B1), the
@@ -771,7 +772,8 @@ let b10 () : jentry list =
   header "B10: host_throughput — the multi-session live host"
     "The lib/host subsystem under seeded synthetic load: events/sec, \
      p50/p99 scheduler-tick latency, and broadcast-update fan-out time \
-     vs. fleet size.";
+     vs. fleet size; then one-pending ticks, whose cost must not grow \
+     with the fleet.";
   List.concat_map
     (fun k ->
       (* same total event budget per fleet size, so runs stay ~equal *)
@@ -840,6 +842,75 @@ let b10 () : jentry list =
         };
       ])
     fleet_sizes
+
+(** B10's sparse-tick rows time the opposite regime, a served shard's
+    usual step: one tick with one pending tap, on a fleet of 10 and of
+    1,000, on the livebench session config (16 rows, width 48, render
+    cache on, batch 8).  Both fleets replay the same taps on their
+    first ten sessions, so only the idle sessions differ; the p50 and
+    the minor words per tick show whether a tick's cost follows its
+    pending sessions or the fleet size. *)
+let b10_sparse () : jentry list =
+  let module H = Live_host in
+  let module Prng = Live_core.Prng in
+  let rows_n = 16 and width = 48 and warmup = 50 and taps = 400 in
+  let app =
+    (Live_workloads.Synthetic.compile_exn
+       (Live_workloads.Synthetic.host_app ~rows:rows_n ~version:0 ()))
+      .Live_surface.Compile.core
+  in
+  let measure k =
+    let cfg =
+      { H.Registry.default_config with H.Registry.width; cache = true }
+    in
+    let reg = H.Registry.create ~config:cfg app in
+    (match H.Registry.spawn_many reg k with
+    | Ok _ -> ()
+    | Error e -> failwith (Live_core.Machine.error_to_string e));
+    let sched = H.Scheduler.create ~batch:8 reg in
+    let rng = Prng.create 1010 in
+    let lat = Array.make taps 0. and words = ref 0. in
+    for i = -warmup to taps - 1 do
+      let id = H.Registry.id_at reg (Prng.int rng 10) in
+      let x = Prng.int rng width and y = 1 + Prng.int rng rows_n in
+      ignore (H.Registry.offer reg id (H.Registry.Tap { x; y }));
+      let w0 = Gc.minor_words () in
+      let r = H.Scheduler.tick sched in
+      let w1 = Gc.minor_words () in
+      if r.H.Scheduler.processed <> 1 then
+        failwith "b10 sparse tick: expected one event";
+      if i >= 0 then begin
+        lat.(i) <- r.H.Scheduler.latency_ns;
+        words := !words +. (w1 -. w0)
+      end
+    done;
+    Array.sort Float.compare lat;
+    let p50 = lat.(taps / 2) and alloc = !words /. float_of_int taps in
+    Printf.printf
+      "  fleet=%4d  one-pending tick p50 %s  %8.0f minor words/tick\n" k
+      (pp_time p50) alloc;
+    (p50, alloc)
+  in
+  let t_small, a_small = measure 10 in
+  let t_large, a_large = measure 1000 in
+  Printf.printf
+    "  -> one-pending tick at fleet 1000 vs 10: %.2fx time, %.2fx allocation\n"
+    (t_large /. t_small) (a_large /. a_small);
+  List.concat_map
+    (fun (k, p50, alloc) ->
+      [
+        {
+          id = Printf.sprintf "b10/sparse-tick/fleet=%04d" k;
+          unit_ = "ns";
+          value = p50;
+        };
+        {
+          id = Printf.sprintf "b10/sparse-tick-alloc/fleet=%04d" k;
+          unit_ = "words";
+          value = alloc;
+        };
+      ])
+    [ (10, t_small, a_small); (1000, t_large, a_large) ]
 
 (* ------------------------------------------------------------------ *)
 (* B12: the closure-compiled evaluator vs. the substitution machine    *)
@@ -1560,6 +1631,7 @@ let () =
   let r8 = b8 () in
   let r9 = b9 () in
   let r10 = b10 () in
+  let r10s = b10_sparse () in
   let r12 = b12 () in
   let r13 = b13 () in
   let r14 = b14 () in
@@ -1575,5 +1647,5 @@ let () =
   write_json
     (List.concat_map entries_of_rows
        [ r1; r2; r3; r4; r5; r6; r7; r8; r9; r18 ]
-    @ r10 @ r12 @ r13 @ r14 @ r15 @ r16 @ r17 @ alloc_entries);
+    @ r10 @ r10s @ r12 @ r13 @ r14 @ r15 @ r16 @ r17 @ alloc_entries);
   Printf.printf "\nDone. See EXPERIMENTS.md for interpretation.\n"

@@ -1,7 +1,8 @@
 (** The session fleet (see the interface).  Sessions live in a hash
     table keyed by dense ids; spawn order is kept separately because
     the scheduler's round-robin ring and the broadcast fan-out must
-    both be deterministic. *)
+    both be deterministic, and so is the set of sessions with pending
+    input, so a tick finds them without walking the fleet. *)
 
 module Session = Live_runtime.Session
 module Machine = Live_core.Machine
@@ -46,6 +47,7 @@ type entry = {
   mutable e_taken : int;
   mutable e_dropped : int;
   mutable e_rejected : int;
+  mutable e_ready : bool;  (** listed in [t.ready] *)
 }
 
 type t = {
@@ -59,7 +61,12 @@ type t = {
           incremental typechecking falls back to scratch on the first
           broadcast. *)
   entries : (id, entry) Hashtbl.t;
-  mutable order : id list;  (** spawn order, oldest first *)
+  mutable order : id array;
+      (** spawn order, oldest first, in [order.(0 .. size - 1)]; ids
+          rise with spawn order, so this is ascending *)
+  mutable ready : id list;
+      (** every id with pending input, each once (its [e_ready] flag),
+          plus ids emptied or killed since the last {!ready} pruned *)
   mutable next_id : id;
   mutable epoch : int;
       (** id of the installed code epoch; bumped by every
@@ -83,7 +90,8 @@ let create ?(config = default_config) (program : Live_core.Program.t) : t =
     program;
     program_checked = false;
     entries = Hashtbl.create 64;
-    order = [];
+    order = [||];
+    ready = [];
     next_id = 0;
     epoch = 0;
     epochs = [ (0, program) ];
@@ -92,38 +100,19 @@ let create ?(config = default_config) (program : Live_core.Program.t) : t =
     metrics = Host_metrics.create ();
   }
 
-let spawn (t : t) : (id, Machine.error) result =
-  match
-    Session.create ~width:t.cfg.width ?fuel:t.cfg.fuel ~cache:t.cfg.cache
-      ~evaluator:t.cfg.evaluator t.program
-  with
-  | Error e -> Error e
-  | Ok session ->
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      Session.set_epoch session t.epoch;
-      Hashtbl.replace t.entries id
-        {
-          session;
-          ingress =
-            Backpressure.create ~capacity:t.cfg.queue_capacity
-              ~policy:t.cfg.queue_policy;
-          e_in = 0;
-          e_taken = 0;
-          e_dropped = 0;
-          e_rejected = 0;
-        };
-      t.order <- t.order @ [ id ];
-      t.metrics.Host_metrics.sessions_spawned <-
-        t.metrics.Host_metrics.sessions_spawned + 1;
-      Ok id
-
-let adopt (t : t) (session : Session.t) : id =
-  if t.rollout_open then
-    invalid_arg "Registry.adopt: a staged rollout is open";
+(* Enroll a stable session under a fresh id, pinned to the current
+   epoch; the append to [order] is amortised O(1). *)
+let insert (t : t) (session : Session.t) : id =
   let id = t.next_id in
   t.next_id <- id + 1;
   Session.set_epoch session t.epoch;
+  let n = Hashtbl.length t.entries in
+  if n = Array.length t.order then begin
+    let grown = Array.make (max 16 (2 * n)) 0 in
+    Array.blit t.order 0 grown 0 n;
+    t.order <- grown
+  end;
+  t.order.(n) <- id;
   Hashtbl.replace t.entries id
     {
       session;
@@ -134,11 +123,21 @@ let adopt (t : t) (session : Session.t) : id =
       e_taken = 0;
       e_dropped = 0;
       e_rejected = 0;
+      e_ready = false;
     };
-  t.order <- t.order @ [ id ];
   t.metrics.Host_metrics.sessions_spawned <-
     t.metrics.Host_metrics.sessions_spawned + 1;
   id
+
+let spawn (t : t) : (id, Machine.error) result =
+  Result.map (insert t)
+    (Session.create ~width:t.cfg.width ?fuel:t.cfg.fuel ~cache:t.cfg.cache
+       ~evaluator:t.cfg.evaluator t.program)
+
+let adopt (t : t) (session : Session.t) : id =
+  if t.rollout_open then
+    invalid_arg "Registry.adopt: a staged rollout is open";
+  insert t session
 
 let spawn_many (t : t) (n : int) : (id list, Machine.error) result =
   let rec go k acc =
@@ -157,15 +156,30 @@ let kill (t : t) (id : id) : bool =
         t.metrics.Host_metrics.events_dropped + orphaned;
       t.metrics.Host_metrics.sessions_killed <-
         t.metrics.Host_metrics.sessions_killed + 1;
+      let n = Hashtbl.length t.entries in
       Hashtbl.remove t.entries id;
-      t.order <- List.filter (fun i -> i <> id) t.order;
+      let j = ref 0 in
+      for i = 0 to n - 1 do
+        if t.order.(i) <> id then begin
+          t.order.(!j) <- t.order.(i);
+          incr j
+        end
+      done;
       true
 
 let session (t : t) (id : id) : Session.t option =
   Option.map (fun e -> e.session) (Hashtbl.find_opt t.entries id)
 
-let ids (t : t) : id list = t.order
 let size (t : t) : int = Hashtbl.length t.entries
+
+let ids (t : t) : id list =
+  let order = t.order in
+  List.init (size t) (fun i -> order.(i))
+
+let id_at (t : t) (k : int) : id =
+  if k < 0 || k >= size t then invalid_arg "Registry.id_at";
+  t.order.(k)
+
 let program (t : t) = t.program
 let program_checked (t : t) = t.program_checked
 let config (t : t) = t.cfg
@@ -264,7 +278,7 @@ let check_epochs (t : t) : (id * string) list =
                 Some
                   ( id,
                     Printf.sprintf "code is not epoch %d's program" pin )))
-    t.order
+    (ids t)
 
 (* ------------------------------------------------------------------ *)
 (* Ingress                                                             *)
@@ -292,6 +306,10 @@ let offer (t : t) (id : id) (ev : uevent) : Backpressure.outcome =
       match Backpressure.offer e.ingress ev with
       | Backpressure.Accepted ->
           ignore (Atomic.fetch_and_add t.pending_total 1);
+          if not e.e_ready then begin
+            e.e_ready <- true;
+            t.ready <- id :: t.ready
+          end;
           Backpressure.Accepted
       | Backpressure.Dropped_oldest ->
           (* one in, one out: total pending unchanged *)
@@ -321,6 +339,23 @@ let take (t : t) (id : id) : uevent option =
           ignore (Atomic.fetch_and_add t.pending_total (-1));
           Some ev)
 
+(* Prune lazily: an id leaves the list here, not when [take], [kill] or
+   a Detach drain empties its queue, so those need no bookkeeping. *)
+let ready (t : t) : id list =
+  let live =
+    List.filter
+      (fun id ->
+        match Hashtbl.find_opt t.entries id with
+        | None -> false
+        | Some e ->
+            let pending = not (Backpressure.is_empty e.ingress) in
+            if not pending then e.e_ready <- false;
+            pending)
+      t.ready
+  in
+  t.ready <- List.sort Int.compare live;
+  t.ready
+
 (* ------------------------------------------------------------------ *)
 (* Invariants and snapshots                                            *)
 (* ------------------------------------------------------------------ *)
@@ -345,7 +380,7 @@ let check_invariants (t : t) : (id * string) list =
               else if not (Live_core.State.display_valid st) then
                 Some (id, "display invalid")
               else None))
-    t.order
+    (ids t)
 
 let cache_totals (t : t) : (int * int) option =
   List.fold_left
@@ -360,7 +395,7 @@ let cache_totals (t : t) : (int * int) option =
               Some
                 ( h + s.Live_core.Render_cache.hits,
                   m + s.Live_core.Render_cache.misses )))
-    None t.order
+    None (ids t)
 
 let snapshot (t : t) : Host_metrics.snapshot =
   Host_metrics.snapshot t.metrics ~sessions:(size t)
@@ -412,15 +447,15 @@ let digest_ids (t : t) (ids : id list) : string =
            (Hashtbl.find_opt t.entries id))
        ids)
 
-let digest (t : t) : string = digest_ids t t.order
+let digest (t : t) : string = digest_ids t (ids t)
 
-(** {!digest} restricted to a cohort.  Iterates [t.order] (not the
+(** {!digest} restricted to a cohort.  Iterates {!ids} (not the
     argument), so the same sessions always digest in the same order
     whatever order the cohort list is in. *)
 let digest_cohort (t : t) (cohort : id list) : string =
   let member = Hashtbl.create (List.length cohort * 2) in
   List.iter (fun id -> Hashtbl.replace member id ()) cohort;
-  digest_ids t (List.filter (Hashtbl.mem member) t.order)
+  digest_ids t (List.filter (Hashtbl.mem member) (ids t))
 
 (* ------------------------------------------------------------------ *)
 (* Cohort accounting                                                   *)

@@ -2,9 +2,10 @@
     one program.
 
     The registry owns spawn / kill / lookup, the per-session bounded
-    ingress queue ({!Backpressure}), an optional fleet-wide admission
-    limit on total pending events, and the {!Host_metrics} counters
-    every component reports into.  Sessions keep their own store and
+    ingress queue ({!Backpressure}), the set of sessions whose queue is
+    non-empty ({!ready}), an optional fleet-wide admission limit on
+    total pending events, and the {!Host_metrics} counters every
+    component reports into.  Sessions keep their own store and
     page stack (per-user model state); the {e code} is shared and only
     changes through {!Broadcast.update}, which applies one edit
     transactionally across the whole fleet. *)
@@ -64,9 +65,15 @@ val kill : t -> id -> bool
 
 val session : t -> id -> Live_runtime.Session.t option
 val ids : t -> id list
-(** Spawn order — the scheduler's round-robin ring. *)
+(** Every live id in spawn order, which is ascending — the scheduler's
+    round-robin ring.  O(sessions): it builds the list. *)
 
 val size : t -> int
+
+val id_at : t -> int -> id
+(** [id_at t k] is the [k]-th id of {!ids} (from 0), in O(1).
+    @raise Invalid_argument unless [0 <= k < size t]. *)
+
 val program : t -> Live_core.Program.t
 
 val program_checked : t -> bool
@@ -92,6 +99,13 @@ val total_pending : t -> int
 val take : t -> id -> uevent option
 (** Dequeue the session's oldest pending event (the scheduler's
     draining primitive). *)
+
+val ready : t -> id list
+(** The ids with pending input, ascending (so in spawn order) — what a
+    {!Scheduler.tick} serves.  Always equal to
+    [List.filter (fun id -> pending t id > 0) (ids t)], but costs
+    O(r log r), r being the ids that had pending input at any point
+    since the previous call, not O(sessions). *)
 
 (** {1 Internals shared with Broadcast} *)
 

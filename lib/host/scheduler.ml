@@ -36,20 +36,22 @@ type tick_report = {
   latency_ns : float;
 }
 
-(** The service order for this tick.  Round-robin rotates the spawn
-    ring by one each tick; hottest-first sorts by pending backlog
-    (ties by id, so the order is deterministic). *)
+(** The service order for this tick, over the sessions with pending
+    input only.  Round-robin rotates the spawn ring by one each tick:
+    ids rise in spawn order, so the ring rotated by [k] is the ready
+    ids from the [k]-th live id on, then the rest.  Hottest-first sorts
+    by pending backlog (ties by id, so the order is deterministic). *)
 let service_order (t : t) : Registry.id list =
-  let ids = Registry.ids t.reg in
+  let ready = Registry.ready t.reg in
   match t.policy with
   | Round_robin ->
-      let n = List.length ids in
+      let n = Registry.size t.reg in
       if n = 0 then []
       else begin
-        let k = t.cursor mod n in
+        let pivot = Registry.id_at t.reg (t.cursor mod n) in
         t.cursor <- t.cursor + 1;
-        let arr = Array.of_list ids in
-        List.init n (fun i -> arr.((i + k) mod n))
+        let later, earlier = List.partition (fun id -> id >= pivot) ready in
+        later @ earlier
       end
   | Hottest_first ->
       List.stable_sort
@@ -57,7 +59,7 @@ let service_order (t : t) : Registry.id list =
           match compare (Registry.pending t.reg b) (Registry.pending t.reg a) with
           | 0 -> compare a b
           | c -> c)
-        ids
+        ready
 
 let tick (t : t) : tick_report =
   let t0 = Host_metrics.now () in

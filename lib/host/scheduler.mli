@@ -11,7 +11,8 @@
     configuration checks byte-for-byte.
 
     Policies:
-    - {!Round_robin}: fair — the starting session rotates every tick;
+    - {!Round_robin}: fair — the starting point of the spawn ring
+      rotates every tick;
     - {!Hottest_first}: serve the longest ingress queue first (drains
       backlog fastest; can starve cold sessions under overload, which
       is what the bounded queues are for). *)
@@ -46,11 +47,13 @@ type tick_report = {
 }
 
 val tick : t -> tick_report
-(** One scheduling round under the configured policy: each session in
-    service order drains up to [batch] events in FIFO order and, if it
-    drained any, paints one coalesced frame.  A tick with no pending
-    events is a cheap no-op (still counted and timed).  This is the
-    only code that ticks a registry. *)
+(** One scheduling round under the configured policy: each session
+    with pending input ({!Registry.ready}), in service order, drains up
+    to [batch] events in FIFO order and paints one coalesced frame.  A
+    tick costs O(sessions with pending input), not O(sessions): a
+    session with nothing queued is never visited, and a tick with no
+    pending events does no per-session work (it is still counted and
+    timed).  This is the only code that ticks a registry. *)
 
 val drain : ?max_ticks:int -> t -> (int, string) result
 (** Tick until no events are pending; returns the total processed.

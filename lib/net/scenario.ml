@@ -38,8 +38,8 @@ let reap (procs : (int * string) list) : unit =
       try Unix.unlink path with Unix.Unix_error _ -> ())
     procs
 
-(* [create_process] rather than [fork]: OCaml 5 refuses [fork] once any
-   domain has existed, and the bench binary runs a domain pool first. *)
+(* [create_process] rather than [fork]: a shard is a separate
+   executable, the argv [serve] returns, not a copy of this process. *)
 let spawn (serve : string -> string array) (path : string) : int * string =
   let argv = serve path in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in

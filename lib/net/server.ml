@@ -12,7 +12,8 @@ module Rollout = Live_host.Rollout
 module Session = Live_runtime.Session
 
 (* Per-session client-side view: the rows this connection last saw
-   (the baseline every Delta is diffed against) and the number of
+   (the baseline every Delta is diffed against), whether it waits in
+   the server's dirty queue, and the number of
    offered-but-not-yet-acknowledged events — returned to the client as
    the next Delta's [acks], the pipelining credit scheme. *)
 type view = {
@@ -43,6 +44,8 @@ type t = {
   sched : Scheduler.t;
   listener : Conn.listener;
   conns : (Unix.file_descr, conn) Hashtbl.t;
+  dirty : (conn * Registry.id * view) Queue.t;
+      (** views owed a Delta, first dirtied first, each once *)
   mutable pending_rollout : (int * Rollout.t) option;
       (** the open cross-shard UPDATE transaction, at most one:
           [Prepare]d but not yet [Commit]ted or [Abort]ed *)
@@ -70,6 +73,7 @@ let create ?(config = Registry.default_config) ?batch ~socket
     sched;
     listener;
     conns = Hashtbl.create 16;
+    dirty = Queue.create ();
     pending_rollout = None;
     stopped = false;
     s_accepted = 0;
@@ -146,9 +150,15 @@ let wire_of_uevent : Registry.uevent -> Wire.event = function
 
 let error t c code msg = send t c (Wire.Host (Wire.Error { code; msg }))
 
+let mark_dirty (t : t) (c : conn) (id : Registry.id) (view : view) : unit =
+  if not view.dirty then begin
+    view.dirty <- true;
+    Queue.push (c, id, view) t.dirty
+  end
+
 let mark_all_dirty (t : t) : unit =
   Hashtbl.iter
-    (fun _ c -> Hashtbl.iter (fun _ view -> view.dirty <- true) c.views)
+    (fun _ c -> Hashtbl.iter (fun id view -> mark_dirty t c id view) c.views)
     t.conns
 
 (* A protocol violation: answer code 1 and close once the write
@@ -176,7 +186,7 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
           | Backpressure.Accepted | Backpressure.Dropped_oldest ->
               (* a dropped-oldest still consumed an offer: the credit
                  goes back to the client either way *)
-              view.dirty <- true;
+              mark_dirty t c session view;
               view.unacked <- view.unacked + 1
           | Backpressure.Rejected ->
               error t c 2 (Printf.sprintf "%d rejected by backpressure" session)
@@ -240,7 +250,7 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
                       | Backpressure.Accepted | Backpressure.Dropped_oldest ->
                           (match Hashtbl.find_opt c.views id with
                           | Some view ->
-                              view.dirty <- true;
+                              mark_dirty t c id view;
                               view.unacked <- view.unacked + 1
                           | None -> ())
                       | Backpressure.Rejected ->
@@ -376,39 +386,38 @@ let handle_frame (t : t) (c : conn) (f : Wire.frame) : bool =
   | Wire.Host _ -> violation t c "host-tagged frame from a client");
   true
 
-(* Send every dirty view its damage-masked Delta.  An empty row list
-   still goes out — it is the acknowledgement a lockstep client waits
-   for. *)
+(* Send every dirty view its damage-masked Delta, in the order the
+   views were dirtied.  An empty row list still goes out — it is the
+   acknowledgement a lockstep client waits for.  A queued view that
+   Detach removed, or that Bye or [drop_conn] reset, is no longer its
+   connection's view of that session and is skipped, as is every view
+   of a closing connection. *)
 let send_deltas (t : t) : unit =
-  Hashtbl.iter
-    (fun _ c ->
-      if not (Conn.closing c.conn) then
-        Hashtbl.iter
-          (fun id view ->
-            if view.dirty then begin
-              view.dirty <- false;
-              match screenshot_rows t id with
-              | None -> ()
-              | Some rows ->
-                  let delta = Wire.delta_of_frames ~prev:view.last rows in
-                  let acks = view.unacked in
-                  view.unacked <- 0;
-                  view.last <- rows;
-                  t.s_deltas <- t.s_deltas + 1;
-                  t.s_delta_rows <- t.s_delta_rows + List.length delta;
-                  t.s_full_rows <- t.s_full_rows + Array.length rows;
-                  send t c
-                    (Wire.Host
-                       (Wire.Delta
-                          {
-                            session = id;
-                            height = Array.length rows;
-                            acks;
-                            rows = delta;
-                          }))
-            end)
-          c.views)
-    t.conns
+  while not (Queue.is_empty t.dirty) do
+    let c, id, view = Queue.pop t.dirty in
+    let attached =
+      match Hashtbl.find_opt c.views id with
+      | Some v -> v == view
+      | None -> false
+    in
+    if attached && not (Conn.closing c.conn) then begin
+      view.dirty <- false;
+      match screenshot_rows t id with
+      | None -> ()
+      | Some rows ->
+          let delta = Wire.delta_of_frames ~prev:view.last rows in
+          let acks = view.unacked in
+          view.unacked <- 0;
+          view.last <- rows;
+          t.s_deltas <- t.s_deltas + 1;
+          t.s_delta_rows <- t.s_delta_rows + List.length delta;
+          t.s_full_rows <- t.s_full_rows + Array.length rows;
+          send t c
+            (Wire.Host
+               (Wire.Delta
+                  { session = id; height = Array.length rows; acks; rows = delta }))
+    end
+  done
 
 let step ?(timeout = 0.05) (t : t) : bool =
   if t.stopped then false
@@ -440,10 +449,12 @@ let step ?(timeout = 0.05) (t : t) : bool =
             | exception Conn.Failed _ -> drop_conn t c))
       readable;
     (* Serve: drain every event accepted above (and any left over),
-       then answer with deltas. *)
+       then answer with deltas.  A drain error means a session with
+       input fell out of the ready set: its events would wait forever
+       and its client would never hear, so it is fatal. *)
     if Registry.total_pending t.reg > 0 then begin
       worked := true;
-      (match Scheduler.drain t.sched with Ok _ | Error _ -> ())
+      match Scheduler.drain t.sched with Ok _ -> () | Error m -> failwith m
     end;
     send_deltas t;
     (* Egress: flush what the sockets will take; drop the dead and the

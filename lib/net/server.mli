@@ -11,6 +11,11 @@
     frame came out byte-identical still gets an {e empty} [Delta]: the
     acknowledgement the lockstep load client paces itself by.
 
+    Deltas leave first dirtied, first sent: a view is queued when its
+    first [Event] of the step (or a fleet UPDATE) dirties it, so the
+    Events of sessions 0, 1 and 2 sent in that order are answered 0, 1,
+    2.
+
     Detach/resume: [Detach] drains the session's still-queued events,
     captures a canonical {!Snapshot} (pending events included), kills
     the session and returns the text as [Detached]; [Resume] restores
@@ -63,7 +68,12 @@ val scheduler : t -> Live_host.Scheduler.t
 val step : ?timeout:float -> t -> bool
 (** One server cycle; [timeout] (default 0.05s) bounds the [select]
     wait when nothing is ready.  Returns whether any I/O or event work
-    happened — a pure-timeout step returns [false]. *)
+    happened — a pure-timeout step returns [false].  Apart from the
+    I/O, a step costs what its work costs: the scheduler ticks only
+    sessions with pending input and Deltas go only to dirtied views,
+    so serving one tap does not walk the shard's other sessions.
+    @raise Failure if the scheduler cannot drain the pending events
+    (an internal error: some session's input would wait forever). *)
 
 val run : until:(unit -> bool) -> t -> unit
 (** {!step} until [until ()] — the accept loop of a standalone host
@@ -73,7 +83,7 @@ val mark_all_dirty : t -> unit
 (** Force the next {!step} to re-diff and [Delta] every attached
     session — called after an out-of-band fleet mutation the ingress
     path didn't see (a {!Live_host.Broadcast.update} driven from the
-    host side). *)
+    host side).  O(attached views). *)
 
 val stats : t -> stats
 

@@ -464,6 +464,219 @@ let prop_service_order_is_invisible =
         QCheck2.Test.fail_reportf "accounting diverges (seed %d)" seed
       else true)
 
+(* -- the ready set -------------------------------------------------- *)
+
+(** One step of a random fleet history.  Session operands index the
+    live ids modulo the fleet size; [Detach] drains the queue through
+    [take] and then kills, as the server's Detach does. *)
+type op =
+  | Offer of int * int
+  | Take of int
+  | Kill of int
+  | Spawn
+  | Adopt
+  | Detach of int
+  | Tick of H.Scheduler.policy
+  | Drain of H.Scheduler.policy
+  | Broadcast
+  | Begin
+  | Canary
+  | Promote
+  | Rollback
+
+let pp_op ppf = function
+  | Offer (i, k) -> Fmt.pf ppf "offer(%d,%d)" i k
+  | Take i -> Fmt.pf ppf "take(%d)" i
+  | Kill i -> Fmt.pf ppf "kill(%d)" i
+  | Spawn -> Fmt.string ppf "spawn"
+  | Adopt -> Fmt.string ppf "adopt"
+  | Detach i -> Fmt.pf ppf "detach(%d)" i
+  | Tick p -> Fmt.pf ppf "tick(%s)" (H.Scheduler.policy_to_string p)
+  | Drain p -> Fmt.pf ppf "drain(%s)" (H.Scheduler.policy_to_string p)
+  | Broadcast -> Fmt.string ppf "broadcast"
+  | Begin -> Fmt.string ppf "begin"
+  | Canary -> Fmt.string ppf "canary"
+  | Promote -> Fmt.string ppf "promote"
+  | Rollback -> Fmt.string ppf "rollback"
+
+let gen_history =
+  let open QCheck2.Gen in
+  let idx = int_bound 15 in
+  let policy = oneofl H.Scheduler.[ Round_robin; Hottest_first ] in
+  let op =
+    frequency
+      [
+        (10, map2 (fun i k -> Offer (i, k)) idx (int_bound 999));
+        (3, map (fun i -> Take i) idx);
+        (1, map (fun i -> Kill i) idx);
+        (1, return Spawn);
+        (1, return Adopt);
+        (1, map (fun i -> Detach i) idx);
+        (3, map (fun p -> Tick p) policy);
+        (1, map (fun p -> Drain p) policy);
+        (1, return Broadcast);
+        (1, return Begin);
+        (1, return Canary);
+        (1, return Promote);
+        (1, return Rollback);
+      ]
+  in
+  tup4
+    (oneofl H.Backpressure.[ Drop_oldest; Reject ])
+    (int_range 1 3) (* queue capacity *)
+    (int_range 1 3) (* scheduler batch *)
+    (list_size (int_range 1 60) op)
+
+(** Replay one history.  [eager] compares {!H.Registry.ready} with the
+    sessions that have input after every op; otherwise only at the end,
+    so ids emptied or killed stay listed across several ops before a
+    tick prunes them (the lazy path the server takes). *)
+let run_history ~eager (queue_policy, queue_capacity, batch, ops) : bool =
+  let config =
+    {
+      H.Registry.default_config with
+      H.Registry.width;
+      queue_capacity;
+      queue_policy;
+      admission_limit = Some 6;
+    }
+  in
+  let reg, _ = make_fleet ~config ~sessions:3 0 in
+  let sched p = H.Scheduler.create ~policy:p ~batch reg in
+  let rr = sched H.Scheduler.Round_robin
+  and hf = sched H.Scheduler.Hottest_first in
+  let of_policy = function
+    | H.Scheduler.Round_robin -> rr
+    | H.Scheduler.Hottest_first -> hf
+  in
+  let version = ref 0 and rollout = ref None in
+  let nth i f =
+    match H.Registry.ids reg with
+    | [] -> ()
+    | ids -> f (List.nth ids (i mod List.length ids))
+  in
+  let history = ref [] in
+  let fail fmt =
+    QCheck2.Test.fail_reportf
+      ("%s, checked %s, after %a: " ^^ fmt)
+      (H.Backpressure.policy_to_string queue_policy)
+      (if eager then "after every op" else "at the end")
+      Fmt.(list ~sep:(any " ") pp_op)
+      (List.rev !history)
+  in
+  let with_pending () =
+    List.filter_map
+      (fun id ->
+        let p = H.Registry.pending reg id in
+        if p > 0 then Some (id, p) else None)
+      (H.Registry.ids reg)
+  in
+  let apply = function
+    | Offer (i, k) ->
+        nth i (fun id ->
+            let ev =
+              if k mod 10 = 0 then H.Registry.Back
+              else H.Registry.Tap { x = k mod width; y = k mod (rows + 3) }
+            in
+            ignore (H.Registry.offer reg id ev))
+    | Take i -> nth i (fun id -> ignore (H.Registry.take reg id))
+    | Kill i -> nth i (fun id -> ignore (H.Registry.kill reg id))
+    | Spawn -> ignore (ok_machine "spawn" (H.Registry.spawn reg))
+    | Adopt -> (
+        let s =
+          ok_machine "boot"
+            (Session.create ~width (H.Registry.program reg))
+        in
+        match H.Registry.adopt reg s with
+        | exception Invalid_argument _ -> () (* a rollout is open *)
+        | _ -> ())
+    | Detach i ->
+        nth i (fun id ->
+            while H.Registry.take reg id <> None do
+              ()
+            done;
+            ignore (H.Registry.kill reg id))
+    | Tick p ->
+        let before = with_pending () in
+        let r = H.Scheduler.tick (of_policy p) in
+        let processed =
+          List.fold_left (fun n (_, k) -> n + min batch k) 0 before
+        in
+        if r.H.Scheduler.sessions_served <> List.length before then
+          fail "tick served %d sessions, %d had input"
+            r.H.Scheduler.sessions_served (List.length before)
+        else if r.H.Scheduler.processed <> processed then
+          fail "tick processed %d events, expected %d"
+            r.H.Scheduler.processed processed
+        else ()
+    | Drain p -> (
+        let total = H.Registry.total_pending reg in
+        match H.Scheduler.drain (of_policy p) with
+        | Error m -> fail "drain: %s" m
+        | Ok n when n <> total -> fail "drain processed %d of %d" n total
+        | Ok _ -> ())
+    | Broadcast -> (
+        match H.Broadcast.update reg (app (!version + 1)) with
+        | Ok _ -> incr version
+        | Error _ -> () (* refused while a rollout is open *))
+    | Begin -> (
+        if !rollout = None then
+          match
+            H.Rollout.begin_ ~fraction:0.5 ~seed:!version reg
+              (app (!version + 1))
+          with
+          | Ok r -> rollout := Some r
+          | Error e -> fail "begin_: %s" (Live_core.Machine.error_to_string e))
+    | Canary -> (
+        match !rollout with
+        | Some r when H.Rollout.stage r = H.Rollout.Staged ->
+            ignore (H.Rollout.canary r)
+        | _ -> ())
+    | Promote -> (
+        match !rollout with
+        | Some r when H.Rollout.stage r = H.Rollout.Canarying ->
+            ignore (H.Rollout.promote r);
+            incr version;
+            rollout := None
+        | _ -> ())
+    | Rollback -> (
+        match !rollout with
+        | Some r ->
+            ignore (H.Rollout.rollback r);
+            rollout := None
+        | None -> ())
+  in
+  let check () =
+    let expected = List.map fst (with_pending ()) in
+    let ready = H.Registry.ready reg in
+    if ready <> expected then
+      fail "ready = [%a], sessions with input = [%a]"
+        Fmt.(list ~sep:comma int)
+        ready
+        Fmt.(list ~sep:comma int)
+        expected
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* release the rollout's compile-epoch pins *)
+      Option.iter (fun r -> ignore (H.Rollout.rollback r)) !rollout)
+    (fun () ->
+      List.iter
+        (fun op ->
+          history := op :: !history;
+          apply op;
+          if eager then check ())
+        ops;
+      check ();
+      true)
+
+let prop_ready_set =
+  qcheck ~count:150
+    "the ready set is exactly the sessions with pending input; a tick \
+     serves them and only them"
+    gen_history
+    (fun h -> run_history ~eager:true h && run_history ~eager:false h)
+
 (* -- metrics ------------------------------------------------------- *)
 
 let test_histogram_quantiles () =
@@ -625,6 +838,7 @@ let suite =
     case "hottest-first serves the backlog" test_scheduler_hottest_first;
     case "policy names round-trip" test_scheduler_policy_strings;
     prop_service_order_is_invisible;
+    prop_ready_set;
     case "histogram quantiles are sane" test_histogram_quantiles;
     case "histogram separates p50 from p99 on a wide spread"
       test_histogram_wide_distribution;

@@ -973,6 +973,49 @@ let test_conn_rpc_pumps_server () =
   | Wire.Metrics _ -> ()
   | f -> Alcotest.failf "expected Metrics, got %s" (Fmt.str "%a" Wire.pp (Wire.Host f))
 
+(* Deltas leave first dirtied, first sent: the Events of sessions 0, 1
+   and 2, written in that order in one write, are answered 0, 1, 2 —
+   not in the iteration order of the connection's view table. *)
+let test_server_delta_order () =
+  let module Server = Live_net.Server in
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "live-test-net-order-%d.sock" (Unix.getpid ()))
+  in
+  let srv = Server.create ~socket (app 0) in
+  Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+  let c = Conn.connect socket in
+  Fun.protect ~finally:(fun () -> Conn.close c) @@ fun () ->
+  let pump () = ignore (Server.step ~timeout:0. srv) in
+  let next () = Conn.await ~pump [ c ] (fun () -> Conn.next c) in
+  let unexpected f =
+    Alcotest.failf "unexpected %s" (Fmt.str "%a" Wire.pp (Wire.Host f))
+  in
+  Conn.send c (Wire.Client (Wire.Hello { client = "order"; sessions = 3 }));
+  Conn.push ~pump c;
+  let attached =
+    List.init 3 (fun _ ->
+        match next () with
+        | Wire.Attach { session; _ } -> session
+        | f -> unexpected f)
+  in
+  Alcotest.(check (list int)) "attached" [ 0; 1; 2 ] attached;
+  List.iter
+    (fun session ->
+      Conn.send c
+        (Wire.Client
+           (Wire.Event { session; ev = Wire.Ev_tap { x = 2; y = 1 } })))
+    attached;
+  Conn.push ~pump c;
+  let answered =
+    List.init 3 (fun _ ->
+        match next () with
+        | Wire.Delta { session; _ } -> session
+        | f -> unexpected f)
+  in
+  Alcotest.(check (list int)) "first dirtied, first sent" [ 0; 1; 2 ] answered
+
 (* ------------------------------------------------------------------ *)
 (* The host-net oracle configuration                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1031,5 +1074,7 @@ let suite =
       test_conn_close_mid_frame;
     Alcotest.test_case "conn: rpc returns while its pump drives a server" `Quick
       test_conn_rpc_pumps_server;
+    Alcotest.test_case "server answers Deltas first dirtied, first sent" `Quick
+      test_server_delta_order;
     prop_host_net_oracle;
   ]
