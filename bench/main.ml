@@ -1176,19 +1176,20 @@ let b13 () : jentry list =
 (* B14: staged rollout — begin/canary/promote vs. one flat broadcast   *)
 (* ------------------------------------------------------------------ *)
 
-(** B14 prices the transactional rollout machinery (lib/host/rollout):
-    the same 2-edit change set delivered to fleets of 100 / 1000 /
-    10000 cached sessions either as one flat incremental broadcast or
-    as a full staged lifecycle — [Rollout.begin_] (one diff/typecheck/
-    compile, second epoch opened, 10% canary cohort drawn),
-    [Rollout.canary] (cohort checkpointed and migrated), then
-    [Rollout.promote] (shadow cohort migrated, base epoch retired).
-    Both fleets must land on byte-identical digests — the promote ≡
+(** B14 prices what staging adds to the edit transaction
+    (lib/host/rollout over lib/host/broadcast): the same 2-edit change
+    set delivered to fleets of 100 / 1000 / 10000 cached sessions
+    either as one flat incremental broadcast or as a full staged
+    lifecycle — [Rollout.begin_] (the broadcast's prepare plus a 10%
+    canary cohort drawn), [Rollout.canary] (cohort checkpointed and
+    migrated), then [Rollout.promote] (the broadcast's commit migrates
+    the shadow cohort, then the checkpoints are committed).  Both
+    fleets must land on byte-identical digests — the promote ≡
     one-shot-broadcast soundness statement, priced rather than merely
-    asserted.  The interesting number is the overhead ratio: staging
-    pays one extra per-canary checkpoint + a second migration pass,
-    and stays O(edit) in compile work because the change set is still
-    diffed and typechecked exactly once. *)
+    asserted.  Both paths run the one fan-out, so the overhead ratio
+    prices only the cohort draw and the per-canary checkpoints; the
+    change set is still diffed, typechecked and compiled exactly
+    once. *)
 let b14 () : jentry list =
   let module H = Live_host in
   let module P = Live_core.Program in

@@ -664,9 +664,6 @@ let rec unpin_epoch ~(epoch : int) : unit =
     if not (Atomic.compare_and_set epoch_pins old cleaned) then
       unpin_epoch ~epoch
 
-let pinned_epochs () : int list =
-  List.sort_uniq compare (List.map fst (Atomic.get epoch_pins))
-
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)

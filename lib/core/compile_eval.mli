@@ -52,14 +52,14 @@ val get_incremental : diff:Program_diff.t -> Program.t -> t
     compilation has been evicted.  The result is published in the same
     cache, so subsequent {!get} calls for the new program hit. *)
 
-(** {1 Epoch pins (staged rollouts)}
+(** {1 Epoch pins (edit transactions)}
 
-    During a staged rollout ({!Live_host.Rollout}) the registry keeps
-    two code epochs live at once; both compilations must stay resident
-    for the whole rollout window.  The LRU compile cache could evict
-    the base epoch under unrelated compile traffic, and a re-compile
-    issues fresh subtree site ids — orphaning the canary cohort's
-    [csubtree] render-cache entries.  A pin is an eviction-proof cache
+    While an edit transaction is open ({!Live_host.Broadcast.prepare})
+    the registry keeps two code epochs live at once; both compilations
+    must stay resident until it resolves.  The LRU compile cache could
+    evict the base epoch under unrelated compile traffic, and a
+    re-compile issues fresh subtree site ids — orphaning the canary
+    cohort's [csubtree] render-cache entries.  A pin is an eviction-proof cache
     entry keyed by an epoch id; {!get} and {!get_incremental} consult
     pins first, so every session of an epoch shares one physical
     compilation. *)
@@ -72,9 +72,6 @@ val pin_epoch : epoch:int -> ?diff:Program_diff.t -> Program.t -> unit
 val unpin_epoch : epoch:int -> unit
 (** Drop the pin for [epoch] (idempotent).  The compilation may still
     live in the LRU cache; it just becomes evictable again. *)
-
-val pinned_epochs : unit -> int list
-(** Epoch ids currently pinned, ascending (tests and invariants). *)
 
 val site_live : t -> int -> bool
 (** Whether a [boxed] memoization site id belongs to this compilation

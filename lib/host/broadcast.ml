@@ -1,10 +1,12 @@
 (** Fleet-wide UPDATE (see the interface for the transaction
-    contract). *)
+    contract): one prepare/commit pair that the flat broadcast, the
+    staged rollout and a shard's two-phase commit all run. *)
 
 module Session = Live_runtime.Session
 module Machine = Live_core.Machine
 module Fixup = Live_core.Fixup
 module Program_diff = Live_core.Program_diff
+module Compile_eval = Live_core.Compile_eval
 
 type session_outcome = {
   id : Registry.id;
@@ -67,28 +69,41 @@ let run_typecheck (mode : typecheck_mode) ~(old_checked : bool)
                     | Error e -> "rejected (" ^ Machine.error_to_string e ^ ")"))),
             false )
 
-let update ?(typecheck = Incremental)
-    (reg : Registry.t) (new_code : Live_core.Program.t) :
-    (report, Machine.error) result =
+type txn = {
+  reg : Registry.t;
+  target : Live_core.Program.t;
+  diff : Program_diff.t;
+  scope : Program_diff.t option;
+      (** [diff], handed to compilation and fan-out when the
+          incremental premise held *)
+  base_epoch : int;
+  target_epoch : int;
+  typecheck_ns : float;
+  diff_ns : float;
+  compile_ns : float;
+  mutable resolved : bool;
+}
+
+let refuse (m : Host_metrics.t) (e : Machine.error) =
+  m.Host_metrics.updates_rejected <- m.Host_metrics.updates_rejected + 1;
+  Error e
+
+let prepare ?(typecheck = Incremental) (reg : Registry.t)
+    (target : Live_core.Program.t) : (txn, Machine.error) result =
   let m = Registry.metrics reg in
-  if Registry.rollout_open reg then begin
-    (* a flat broadcast during an open rollout would install a third
-       code version and break the two-epoch invariant; the caller must
-       resolve the rollout first (Rollout.promote / Rollout.rollback) *)
-    m.Host_metrics.updates_rejected <- m.Host_metrics.updates_rejected + 1;
-    Error
-      (Machine.Not_enabled
-         "broadcast update refused: a staged rollout is open")
-  end
+  if Registry.rollout_open reg then
+    (* a third code version would break the two-epoch invariant; the
+       open transaction must resolve first *)
+    refuse m (Machine.Not_enabled "update refused: a transaction is open")
   else
-  let old_code = Registry.program reg in
-  let old_checked = Registry.program_checked reg in
+  let base = Registry.program reg in
   let t_diff = Host_metrics.now () in
-  let diff = Program_diff.diff ~old_prog:old_code new_code in
+  let diff = Program_diff.diff ~old_prog:base target in
   let diff_ns = (Host_metrics.now () -. t_diff) *. 1e9 in
   let t_check = Host_metrics.now () in
   let verdict, use_diff =
-    run_typecheck typecheck ~old_checked ~diff new_code
+    run_typecheck typecheck ~old_checked:(Registry.program_checked reg) ~diff
+      target
   in
   let typecheck_ns = (Host_metrics.now () -. t_check) *. 1e9 in
   m.Host_metrics.typecheck_last_ns <- typecheck_ns;
@@ -102,91 +117,103 @@ let update ?(typecheck = Incremental)
    else
      m.Host_metrics.broadcasts_scratch <- m.Host_metrics.broadcasts_scratch + 1);
   match verdict with
-  | Error e ->
-      (* all-or-nothing: the typecheck failed, nothing was touched *)
-      m.Host_metrics.updates_rejected <- m.Host_metrics.updates_rejected + 1;
-      Error e
+  | Error e -> refuse m e (* all-or-nothing: nothing was touched *)
   | Ok () ->
-      (* compile once, before the fan-out: every session's first
-         dispatch/render under the new code hits the warm compile
-         cache, mirroring the typecheck-once contract.  With a usable diff
-         the compilation itself is incremental: only the dirty
-         definitions are recompiled, the rest keep their closures and
-         memoization site ids. *)
+      let scope = if use_diff then Some diff else None in
+      let base_epoch = Registry.current_epoch reg in
+      let target_epoch = Registry.open_rollout reg target in
+      (* compile once, before the fan-out, so every session's first
+         dispatch under the new code hits the warm compile cache; with
+         a usable diff only the dirty definitions are recompiled.  Both
+         epochs stay pinned until the transaction resolves. *)
       let t_compile = Host_metrics.now () in
-      (if (Registry.config reg).Registry.evaluator = Machine.Compiled then
-         if use_diff then
-           ignore
-             (Live_core.Compile_eval.get_incremental ~diff new_code
-               : Live_core.Compile_eval.t)
-         else
-           ignore (Live_core.Compile_eval.get new_code
-                    : Live_core.Compile_eval.t));
+      (if (Registry.config reg).Registry.evaluator = Machine.Compiled then begin
+         Compile_eval.pin_epoch ~epoch:base_epoch base;
+         Compile_eval.pin_epoch ~epoch:target_epoch ?diff:scope target
+       end);
       let compile_ns = (Host_metrics.now () -. t_compile) *. 1e9 in
       m.Host_metrics.compile_last_ns <- compile_ns;
-      let t0 = Host_metrics.now () in
-      let diff_opt = if use_diff then Some diff else None in
-      let outcomes =
-        List.map
-          (fun id ->
-            match Registry.session reg id with
-            | None -> assert false (* ids come from the registry *)
-            | Some s ->
-                {
-                  id;
-                  outcome = Session.update ~checked:true ?diff:diff_opt s new_code;
-                })
-          (Registry.ids reg)
-      in
-      Registry.set_program reg new_code;
-      let fanout_ns = (Host_metrics.now () -. t0) *. 1e9 in
-      m.Host_metrics.updates_applied <- m.Host_metrics.updates_applied + 1;
-      m.Host_metrics.fanout_last_ns <- fanout_ns;
-      Host_metrics.record m.Host_metrics.update_fanout fanout_ns;
-      let count f =
-        List.fold_left
-          (fun acc o ->
-            match o.outcome with Ok r -> acc + List.length (f r) | Error _ -> acc)
-          0 outcomes
-      in
       Ok
         {
-          outcomes;
-          fanout_ns;
+          reg;
+          target;
+          diff;
+          scope;
+          base_epoch;
+          target_epoch;
           typecheck_ns;
           diff_ns;
           compile_ns;
-          dirty_defs = Program_diff.dirty_count diff;
-          recheck_defs = Program_diff.recheck_count diff;
-          incremental = use_diff;
-          dropped_globals = count (fun r -> r.Fixup.dropped_globals);
-          dropped_pages = count (fun r -> r.Fixup.dropped_pages);
+          resolved = false;
         }
 
-let report_to_string (r : report) : string =
-  let b = Buffer.create 256 in
-  Printf.ksprintf (Buffer.add_string b)
-    "broadcast: %d sessions in %.2f ms; %d globals / %d pages dropped \
-     fleet-wide\n"
-    (List.length r.outcomes) (r.fanout_ns /. 1e6) r.dropped_globals
-    r.dropped_pages;
-  Printf.ksprintf (Buffer.add_string b)
-    "  typecheck %s: %.2f ms (diff %.2f ms, %d dirty / %d rechecked defs); \
-     compile %.2f ms\n"
-    (if r.incremental then "incremental" else "scratch")
-    (r.typecheck_ns /. 1e6) (r.diff_ns /. 1e6) r.dirty_defs r.recheck_defs
-    (r.compile_ns /. 1e6);
-  List.iter
-    (fun { id; outcome } ->
-      match outcome with
-      | Ok rep when rep.Fixup.dropped_globals = [] && rep.Fixup.dropped_pages = []
-        ->
-          ()
-      | Ok rep ->
-          Printf.ksprintf (Buffer.add_string b) "  session %d: %s\n" id
-            (Fixup.report_to_string rep)
-      | Error e ->
-          Printf.ksprintf (Buffer.add_string b) "  session %d: ERROR %s\n" id
-            (Machine.error_to_string e))
-    r.outcomes;
-  Buffer.contents b
+let check_open (t : txn) (what : string) : unit =
+  if t.resolved then
+    invalid_arg ("Broadcast." ^ what ^ ": transaction already resolved")
+
+(* Close the transaction either way: release both epochs' pins. *)
+let resolve (t : txn) : unit =
+  t.resolved <- true;
+  if (Registry.config t.reg).Registry.evaluator = Machine.Compiled then begin
+    Compile_eval.unpin_epoch ~epoch:t.base_epoch;
+    Compile_eval.unpin_epoch ~epoch:t.target_epoch
+  end
+
+let migrate (t : txn) (id : Registry.id) : session_outcome option =
+  check_open t "migrate";
+  Option.map
+    (fun s ->
+      let outcome = Session.update ~checked:true ?diff:t.scope s t.target in
+      Registry.pin_session t.reg id t.target_epoch;
+      { id; outcome })
+    (Registry.session t.reg id)
+
+let commit (t : txn) : report =
+  check_open t "commit";
+  let m = Registry.metrics t.reg in
+  let t0 = Host_metrics.now () in
+  let outcomes =
+    List.filter_map
+      (fun id ->
+        if Registry.session_epoch t.reg id = Some t.target_epoch then None
+        else migrate t id)
+      (Registry.ids t.reg)
+  in
+  Registry.promote_rollout t.reg;
+  resolve t;
+  let fanout_ns = (Host_metrics.now () -. t0) *. 1e9 in
+  m.Host_metrics.updates_applied <- m.Host_metrics.updates_applied + 1;
+  m.Host_metrics.fanout_last_ns <- fanout_ns;
+  Host_metrics.record m.Host_metrics.update_fanout fanout_ns;
+  let count f =
+    List.fold_left
+      (fun acc o ->
+        match o.outcome with Ok r -> acc + List.length (f r) | Error _ -> acc)
+      0 outcomes
+  in
+  {
+    outcomes;
+    fanout_ns;
+    typecheck_ns = t.typecheck_ns;
+    diff_ns = t.diff_ns;
+    compile_ns = t.compile_ns;
+    dirty_defs = Program_diff.dirty_count t.diff;
+    recheck_defs = Program_diff.recheck_count t.diff;
+    incremental = Option.is_some t.scope;
+    dropped_globals = count (fun r -> r.Fixup.dropped_globals);
+    dropped_pages = count (fun r -> r.Fixup.dropped_pages);
+  }
+
+let abort (t : txn) : unit =
+  check_open t "abort";
+  Registry.rollback_rollout t.reg;
+  resolve t
+
+let update ?typecheck (reg : Registry.t) (new_code : Live_core.Program.t) :
+    (report, Machine.error) result =
+  Result.map commit (prepare ?typecheck reg new_code)
+
+let base_epoch (t : txn) = t.base_epoch
+let target_epoch (t : txn) = t.target_epoch
+let diff (t : txn) = t.diff
+let incremental (t : txn) = Option.is_some t.scope

@@ -1,5 +1,6 @@
 (** Fleet-wide UPDATE: one code edit applied as one transaction across
-    every live session.
+    every live session — the only path by which the host's code
+    changes.
 
     The paper's key move is that a code update is just another
     transition (UPDATE, Fig. 9), so swapping the program under a
@@ -12,6 +13,13 @@
     re-rendered, and the per-session fix-up report ("your edit reset
     global xs") is collected into the fan-out report.
 
+    The transaction has two halves: {!prepare} opens the edit as a
+    second live code epoch without touching a session, and {!commit}
+    migrates the fleet to it ({!abort} retires it instead).  {!update}
+    is one then the other; a shard's two-phase [Prepare] / [Commit] /
+    [Abort] runs them as separate steps, and a staged {!Rollout}
+    migrates a canary cohort ({!migrate}) in between.
+
     The whole pipeline is O(edit), not O(program × fleet): the edit is
     {e diffed} against the current program ({!Live_core.Program_diff}),
     the typecheck re-derives only the recheck set
@@ -22,7 +30,8 @@
     (the [?diff] path of {!Live_runtime.Session.update}).  All of it is
     observationally transparent — the conformance oracle's
     ["host-incr"] configuration and the [Cross_check] mode below
-    enforce agreement with the from-scratch pipeline. *)
+    enforce agreement with the from-scratch pipeline.  Call it between
+    {!Scheduler.tick}s, never during one. *)
 
 type session_outcome = {
   id : Registry.id;
@@ -48,8 +57,9 @@ type typecheck_mode =
           surfaces as a shrinkable counterexample *)
 
 type report = {
-  outcomes : session_outcome list;  (** in spawn order *)
-  fanout_ns : float;  (** elapsed time to update the whole fleet *)
+  outcomes : session_outcome list;
+      (** the sessions {!commit} migrated, in spawn order *)
+  fanout_ns : float;  (** elapsed time of the commit *)
   typecheck_ns : float;  (** the typecheck phase (whichever mode ran) *)
   diff_ns : float;  (** computing the program diff *)
   compile_ns : float;  (** priming the shared compilation *)
@@ -59,39 +69,59 @@ type report = {
       (** whether the accepted broadcast actually reused derivations
           (false under [Scratch], under fallback, and on the boot
           program) *)
-  dropped_globals : int;  (** total across sessions *)
+  dropped_globals : int;  (** total across the migrated sessions *)
   dropped_pages : int;
 }
 
-val run_typecheck :
-  typecheck_mode ->
-  old_checked:bool ->
-  diff:Live_core.Program_diff.t ->
+type txn
+(** An open edit transaction: typechecked, compiled, its target
+    registered as the registry's second live epoch. *)
+
+val prepare :
+  ?typecheck:typecheck_mode ->
+  Registry.t ->
   Live_core.Program.t ->
-  (unit, Live_core.Machine.error) result * bool
-(** The typecheck phase alone: discharge [C' |- C'] for the diff's new
-    program in the given mode.  Returns the verdict plus whether the
-    incremental premise held (the diff may be handed down to fan-out
-    and compilation).  Exposed for {!Rollout}, which typechecks an
-    edit transaction once at [begin] time and fans out later, in
-    stages. *)
+  (txn, Live_core.Machine.error) result
+(** Diff the edit against the installed program, discharge [C' |- C']
+    once ([typecheck] defaults to [Incremental]), open the target epoch
+    ({!Registry.open_rollout}) and, under the [Compiled] evaluator,
+    compile it and pin both epochs' compilations
+    ({!Live_core.Compile_eval.pin_epoch}).  The per-phase times land in
+    the registry's {!Host_metrics}.  [Error] means nothing happened,
+    counted in [updates_rejected]: the typecheck refused the edit, or
+    a transaction is already open ([Not_enabled]; at most two epochs
+    are ever live). *)
+
+val migrate : txn -> Registry.id -> session_outcome option
+(** Move one session to the target epoch: its UPDATE transition
+    against the checked code, then its epoch pin whatever the outcome.
+    [None] for an unknown id.
+    @raise Invalid_argument if the transaction is resolved. *)
+
+val commit : txn -> report
+(** {!migrate} every session not yet on the target epoch — including
+    any spawned since {!prepare} — in spawn order, then install the
+    target ({!Registry.promote_rollout}) and release the pins.  Counts
+    one [updates_applied] and records the fan-out time.
+    @raise Invalid_argument if the transaction is resolved. *)
+
+val abort : txn -> unit
+(** Retire the target epoch; the base stays installed.  Sessions
+    {!migrate}d to the target must have been moved back by the caller
+    ({!Rollout.rollback} rewinds them).
+    @raise Invalid_argument if the transaction is resolved. *)
 
 val update :
   ?typecheck:typecheck_mode ->
   Registry.t ->
   Live_core.Program.t ->
   (report, Live_core.Machine.error) result
-(** Apply the edit to the whole fleet.  [Error] means the new code
-    failed its typecheck and {e every} session is untouched (the
-    registry's shared program is unchanged too).  [typecheck] defaults
-    to [Incremental].  The measured per-phase times land in the
-    registry's {!Host_metrics} (typecheck / diff / compile last-ns,
-    dirty and recheck set sizes, incremental-vs-scratch broadcast
-    counters).
-    While a staged rollout is open the broadcast refuses with
-    [Not_enabled] (and counts an [updates_rejected]): resolve the
-    rollout first. *)
+(** Apply the edit to the whole fleet: {!prepare}, then {!commit}.
+    [Error] is {!prepare}'s, and {e every} session is untouched. *)
 
-val report_to_string : report -> string
-(** One line per session that lost state, plus the fan-out total and
-    the typecheck/diff/compile breakdown. *)
+val base_epoch : txn -> int
+val target_epoch : txn -> int
+val diff : txn -> Live_core.Program_diff.t
+
+val incremental : txn -> bool
+(** Whether the incremental premise held (see {!report}). *)

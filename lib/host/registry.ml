@@ -70,7 +70,7 @@ type t = {
   mutable next_id : id;
   mutable epoch : int;
       (** id of the installed code epoch; bumped by every
-          [set_program] and every promoted rollout *)
+          committed transaction *)
   mutable epochs : (int * Live_core.Program.t) list;
       (** live epochs, newest first.  One entry in steady state; two
           while a rollout is open (target, then base). *)
@@ -136,7 +136,7 @@ let spawn (t : t) : (id, Machine.error) result =
 
 let adopt (t : t) (session : Session.t) : id =
   if t.rollout_open then
-    invalid_arg "Registry.adopt: a staged rollout is open";
+    invalid_arg "Registry.adopt: an edit transaction is open";
   insert t session
 
 let spawn_many (t : t) (n : int) : (id list, Machine.error) result =
@@ -188,25 +188,13 @@ let metrics (t : t) = t.metrics
 let repin_all (t : t) (epoch : int) : unit =
   Hashtbl.iter (fun _ e -> Session.set_epoch e.session epoch) t.entries
 
-let set_program (t : t) (p : Live_core.Program.t) =
-  if t.rollout_open then
-    invalid_arg "Registry.set_program: a staged rollout is open";
-  t.program <- p;
-  t.program_checked <- true;
-  t.epoch <- t.epoch + 1;
-  t.epochs <- [ (t.epoch, p) ];
-  repin_all t t.epoch
-
 (* ------------------------------------------------------------------ *)
-(* Code epochs (staged rollouts)                                       *)
+(* Code epochs (edit transactions)                                     *)
 (* ------------------------------------------------------------------ *)
 
 let current_epoch (t : t) : int = t.epoch
 let rollout_open (t : t) : bool = t.rollout_open
 let live_epochs (t : t) : (int * Live_core.Program.t) list = t.epochs
-
-let epoch_program (t : t) (e : int) : Live_core.Program.t option =
-  List.assoc_opt e t.epochs
 
 let session_epoch (t : t) (id : id) : int option =
   Option.map (fun e -> Session.epoch e.session) (Hashtbl.find_opt t.entries id)
@@ -221,7 +209,7 @@ let pin_session (t : t) (id : id) (epoch : int) : unit =
 
 (** Open a rollout: register [target] as a second live epoch.  The
     installed program, [current_epoch] and every session pin are
-    untouched — cohort migration is {!Live_host.Rollout}'s job. *)
+    untouched — migrating sessions is {!Live_host.Broadcast}'s job. *)
 let open_rollout (t : t) (target : Live_core.Program.t) : int =
   if t.rollout_open then
     invalid_arg "Registry.open_rollout: a rollout is already open";
@@ -230,11 +218,11 @@ let open_rollout (t : t) (target : Live_core.Program.t) : int =
   t.rollout_open <- true;
   e
 
-(** Close the open rollout by installing its target epoch fleet-wide:
-    the target becomes the program new sessions boot (typechecked by
-    the rollout's begin stage), the base epoch is retired, and every
-    session is pinned to the new epoch — the caller has already
-    migrated their states. *)
+(** Close the open rollout by installing its target epoch fleet-wide —
+    the only way a program is installed: the target becomes the
+    program new sessions boot (typechecked when the transaction was
+    prepared), the base epoch is retired, and every session is pinned
+    to the new epoch — the caller has already migrated their states. *)
 let promote_rollout (t : t) : unit =
   if not t.rollout_open then
     invalid_arg "Registry.promote_rollout: no rollout open";

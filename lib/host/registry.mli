@@ -7,8 +7,10 @@
     total pending events, and the {!Host_metrics} counters every
     component reports into.  Sessions keep their own store and
     page stack (per-user model state); the {e code} is shared and only
-    changes through {!Broadcast.update}, which applies one edit
-    transactionally across the whole fleet. *)
+    changes when a {!Broadcast} transaction commits, applying one edit
+    across the whole fleet.  The registry keeps the code epochs that
+    transaction opens and installs; {!Broadcast} migrates the
+    sessions. *)
 
 type id = int
 (** Dense, never reused within a registry. *)
@@ -57,7 +59,7 @@ val adopt : t -> Live_runtime.Session.t -> id
     program (physically — {!check_epochs} compares by identity); the
     server UPDATEs a resumed session whose snapshot carried older code
     before adopting it.
-    @raise Invalid_argument while a staged rollout is open. *)
+    @raise Invalid_argument while an edit transaction is open. *)
 
 val kill : t -> id -> bool
 (** Remove a session; its pending ingress events are accounted as
@@ -79,10 +81,11 @@ val program : t -> Live_core.Program.t
 val program_checked : t -> bool
 (** Whether the current shared program is known to satisfy [C |- C].
     False for the boot program (sessions boot without the UPDATE
-    premise being discharged); true once a broadcast's typecheck
-    accepted an edit.  {!Broadcast.update}'s incremental typecheck
-    requires it — derivation reuse is only sound from a known-good
-    baseline — and falls back to a scratch check when false. *)
+    premise being discharged); true once a committed transaction's
+    typecheck accepted an edit.  {!Broadcast.prepare}'s incremental
+    typecheck requires it — derivation reuse is only sound from a
+    known-good baseline — and falls back to a scratch check when
+    false. *)
 
 val config : t -> config
 val metrics : t -> Host_metrics.t
@@ -107,29 +110,20 @@ val ready : t -> id list
     O(r log r), r being the ids that had pending input at any point
     since the previous call, not O(sessions). *)
 
-(** {1 Internals shared with Broadcast} *)
-
-val set_program : t -> Live_core.Program.t -> unit
-(** Install the new shared code — {b only} {!Broadcast.update} calls
-    this, after the fleet-wide transaction committed.  Marks the
-    program checked ({!program_checked}), bumps the code epoch and
-    re-pins every session to it.
-    @raise Invalid_argument while a staged rollout is open. *)
-
-(** {1 Code epochs (staged rollouts)}
+(** {1 Code epochs (edit transactions)}
 
     In steady state the fleet has one live epoch: the installed
     program.  {!open_rollout} registers an edit transaction's target
-    as a second live epoch; while the rollout is open, each session is
-    pinned to exactly one of the two, and {!Broadcast.update} refuses
-    to run.  {!promote_rollout} / {!rollback_rollout} close the window
-    — cohort state migration (canary updates, checkpoint rewinds) is
-    {!Rollout}'s job; the registry only tracks which epochs are live
-    and who is pinned where. *)
+    as a second live epoch; while it is open, each session is pinned
+    to exactly one of the two, and {!Broadcast.prepare} refuses to
+    open another.  {!promote_rollout} / {!rollback_rollout} close the
+    window — migrating session state is {!Broadcast}'s job (and
+    checkpoint rewinds {!Rollout}'s); the registry only tracks which
+    epochs are live and who is pinned where. *)
 
 val current_epoch : t -> int
-(** The installed epoch's id (0 at creation; bumps on every
-    [set_program] and every promoted rollout). *)
+(** The installed epoch's id (0 at creation; bumps on every committed
+    transaction). *)
 
 val rollout_open : t -> bool
 
@@ -137,14 +131,12 @@ val live_epochs : t -> (int * Live_core.Program.t) list
 (** Newest first; one entry in steady state, two while a rollout is
     open. *)
 
-val epoch_program : t -> int -> Live_core.Program.t option
-
 val session_epoch : t -> id -> int option
 (** The epoch a session is pinned to; [None] for an unknown id. *)
 
 val pin_session : t -> id -> int -> unit
-(** Re-pin one session ({!Rollout} migrating a canary).  Unknown ids
-    are ignored.
+(** Re-pin one session ({!Broadcast.migrate}).  Unknown ids are
+    ignored.
     @raise Invalid_argument if the epoch is not live. *)
 
 val open_rollout : t -> Live_core.Program.t -> int
@@ -154,8 +146,10 @@ val open_rollout : t -> Live_core.Program.t -> int
 
 val promote_rollout : t -> unit
 (** Install the open rollout's target fleet-wide and retire the base
-    epoch; every session is pinned to the new epoch (the caller has
-    migrated their states).  @raise Invalid_argument if none is open. *)
+    epoch — the only way a program is installed.  Marks the program
+    checked ({!program_checked}); every session is pinned to the new
+    epoch (the caller has migrated their states).
+    @raise Invalid_argument if none is open. *)
 
 val rollback_rollout : t -> unit
 (** Retire the open rollout's target epoch; the base stays installed

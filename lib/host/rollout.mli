@@ -1,27 +1,30 @@
 (** Transactional staged rollouts: an {e edit transaction} applied to
     the fleet in stages instead of one flat broadcast.
 
-    Several program edits are composed into one change set
-    ({!compose}), diffed and typechecked {b once} ({!begin_} — the
-    O(edit) pipeline of {!Broadcast}), and registered as a second live
-    code epoch in the registry.  A deterministic canary cohort
-    (seeded, {!Live_core.Prng.derive}) then takes the edit
-    ({!canary}) while the shadow cohort keeps serving on the base
-    epoch; the driver watches both cohorts side by side
-    ({!observe}: per-cohort digests, accounting, epoch and state
-    invariants) and resolves the transaction either way:
+    A rollout is a layer over {!Broadcast}'s transaction, which does
+    all the fleet-update work: the diff, the one typecheck, the
+    compilation, the second live code epoch, the migration of each
+    session and the final install.  Staging adds only what the window
+    needs.  {!begin_} prepares the transaction (several program edits
+    composed into one change set, {!compose}) and draws a
+    deterministic canary cohort (seeded, {!Live_core.Prng.derive});
+    {!canary} checkpoints and migrates that cohort while the shadow
+    cohort keeps serving on the base epoch; the driver watches both
+    cohorts side by side ({!observe}: per-cohort digests, accounting,
+    epoch and state invariants) and resolves the transaction either
+    way:
 
-    - {!promote} migrates the shadow cohort and retires the base
-      epoch.  The fleet ends {b byte-identical} to a one-shot
-      {!Broadcast.update} of the same change set — the soundness
-      statement, enforced by the oracle's ["host-txn"] configuration
-      and [test/test_rollout.ml].
+    - {!promote} commits the transaction, migrating the shadow cohort
+      and retiring the base epoch.  The fleet ends {b byte-identical}
+      to a one-shot {!Broadcast.update} of the same change set — the
+      soundness statement, enforced by the oracle's ["host-txn"]
+      configuration and [test/test_rollout.ml].
     - {!rollback} rewinds every canary to its pre-rollout checkpoint
       and replays the interactions it served while canarying
-      ({!Live_runtime.Session.rewind}), ending byte-identical to a
-      fleet that never saw the edit.  (Re-broadcasting the old code
-      would {e not} do that: UPDATE's Fig. 12 fix-up resets state the
-      edit touched.)
+      ({!Live_runtime.Session.rewind}), then aborts the transaction,
+      ending byte-identical to a fleet that never saw the edit.
+      (Re-broadcasting the old code would {e not} do that: UPDATE's
+      Fig. 12 fix-up resets state the edit touched.)
 
     Grounded in {e Edit Transactions: Dynamically Scoped Change Sets
     for Controlled Updates in Live Programming} (see PAPERS.md): the
@@ -55,40 +58,40 @@ val begin_ :
   Registry.t ->
   Live_core.Program.t ->
   (t, Live_core.Machine.error) result
-(** Stage an edit transaction: diff the target against the installed
-    program, discharge [C' |- C'] once ([typecheck] defaults to
-    [Incremental]), open the target as a second live epoch, pin both
-    epochs' compilations ({!Live_core.Compile_eval.pin_epoch}, under
-    the [Compiled] evaluator) and select the canary cohort — a
+(** Stage an edit transaction: {!Broadcast.prepare} it ([typecheck]
+    defaults to [Incremental]; the target opens as a second live epoch
+    and no session is touched), then select the canary cohort — a
     deterministic [fraction] (default [0.1], at least one session) of
     the current fleet, drawn by seeded partial shuffle.  [Error] means
     the typecheck refused the change set and {e nothing} happened
     (counted in [updates_rejected]).
-    @raise Invalid_argument if a rollout is already open. *)
+    @raise Invalid_argument if a transaction (staged or prepared) is
+    already open. *)
 
 val canary : t -> Broadcast.session_outcome list
-(** Apply the target to the canary cohort.  Each canary checkpoints
-    first ({!Live_runtime.Session.checkpoint}) and starts journalling
-    the traffic it serves, so {!rollback} stays exact whatever happens
-    during the window.  Outcomes mirror {!Broadcast.update}'s
-    per-session outcomes (sessions killed since [begin_] are skipped).
+(** Apply the target to the canary cohort ({!Broadcast.migrate}).
+    Each canary checkpoints first ({!Live_runtime.Session.checkpoint})
+    and starts journalling the traffic it serves, so {!rollback} stays
+    exact whatever happens during the window.  Sessions killed since
+    [begin_] are skipped.
     @raise Invalid_argument unless the stage is [Staged]. *)
 
 val promote : t -> Broadcast.session_outcome list
-(** Resolve by migrating the shadow cohort (and any session spawned
-    mid-window) to the target, committing every canary checkpoint and
-    retiring the base epoch.  Fleet digest is byte-identical to a
-    one-shot broadcast of the same change set.
+(** Resolve by {!Broadcast.commit}: the shadow cohort and any session
+    spawned mid-window migrate to the target, and the base epoch is
+    retired; then every canary checkpoint is committed.  Returns the
+    commit's outcomes (the sessions it migrated).  Fleet digest is
+    byte-identical to a one-shot broadcast of the same change set.
     @raise Invalid_argument unless the stage is [Canarying]. *)
 
 val rollback : t -> (Registry.id * Live_core.Machine.error) list
 (** Resolve by rewinding every canary to its checkpoint and replaying
-    its journalled window traffic; the target epoch is retired and the
-    fleet is byte-identical to one that never began the rollout.
-    Replay errors are consumed and returned, as the scheduler consumes
-    per-event errors on the live path; [[]] is a clean rollback.
-    Allowed from [Staged] too (a rollout abandoned before canarying is
-    a pure close).
+    its journalled window traffic, then {!Broadcast.abort}: the target
+    epoch is retired and the fleet is byte-identical to one that never
+    began the rollout.  Replay errors are consumed and returned, as
+    the scheduler consumes per-event errors on the live path; [[]] is
+    a clean rollback.  Allowed from [Staged] too (a rollout abandoned
+    before canarying is a pure close).
     @raise Invalid_argument if already resolved. *)
 
 (** {1 Observation (the canary-vs-shadow comparison)} *)
@@ -122,8 +125,6 @@ val canary_ids : t -> Registry.id list
 val shadow_ids : t -> Registry.id list
 (** Everyone currently in the fleet but the canaries. *)
 
-val base : t -> Live_core.Program.t
-val target : t -> Live_core.Program.t
 val base_epoch : t -> int
 val target_epoch : t -> int
 

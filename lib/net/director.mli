@@ -14,11 +14,11 @@
       in spawn order, exactly like a single-process registry, so a
       directed fleet digests identically to an undirected one.
     - {b UPDATE is atomic} fleet-wide: a client [Update] runs two-phase
-      commit over the shards' staged-rollout machinery.  [Prepare]
-      ({!Live_host.Rollout.begin_}) goes to every shard at once; if
-      every shard votes Ack, [Commit] (canary+promote) goes to every
-      shard at once, else [Abort] (rollback) goes to those that
-      prepared.  The shard processes run each phase in parallel.  The
+      commit over the shards' edit transactions.  [Prepare]
+      ({!Live_host.Broadcast.prepare}) goes to every shard at once; if
+      every shard votes Ack, [Commit] ({!Live_host.Broadcast.commit})
+      goes to every shard at once, else [Abort]
+      ({!Live_host.Broadcast.abort}) goes to those that prepared.  The shard processes run each phase in parallel.  The
       director reads no client frame while the transaction is in
       flight, so no client ever observes a mixed-epoch fleet, and a
       connection's frames after its [Update] meet the new program.

@@ -1,14 +1,16 @@
 (** The networked host (see the interface).  Single-threaded and
     [select]-based over {!Conn}s: reads accumulate in each connection's
     input buffer, and a tick's worth of frames leaves as one staged
-    write per connection, so a slow client never blocks the fleet. *)
+    write per connection, so a slow client never blocks the fleet.
+    Every code change runs one {!Live_host.Broadcast} transaction: a
+    client's [Update] prepares and commits it in one step, a director's
+    [Prepare] / [Commit] / [Abort] run its halves. *)
 
 module Registry = Live_host.Registry
 module Scheduler = Live_host.Scheduler
 module Backpressure = Live_host.Backpressure
 module Host_metrics = Live_host.Host_metrics
 module Broadcast = Live_host.Broadcast
-module Rollout = Live_host.Rollout
 module Session = Live_runtime.Session
 
 (* Per-session client-side view: the rows this connection last saw
@@ -46,7 +48,7 @@ type t = {
   conns : (Unix.file_descr, conn) Hashtbl.t;
   dirty : (conn * Registry.id * view) Queue.t;
       (** views owed a Delta, first dirtied first, each once *)
-  mutable pending_rollout : (int * Rollout.t) option;
+  mutable pending_txn : (int * Broadcast.txn) option;
       (** the open cross-shard UPDATE transaction, at most one:
           [Prepare]d but not yet [Commit]ted or [Abort]ed *)
   mutable stopped : bool;
@@ -74,7 +76,7 @@ let create ?(config = Registry.default_config) ?batch ~socket
     listener;
     conns = Hashtbl.create 16;
     dirty = Queue.create ();
-    pending_rollout = None;
+    pending_txn = None;
     stopped = false;
     s_accepted = 0;
     s_frames_in = 0;
@@ -161,6 +163,33 @@ let mark_all_dirty (t : t) : unit =
     (fun _ c -> Hashtbl.iter (fun id view -> mark_dirty t c id view) c.views)
     t.conns
 
+(* A committed edit: every attached view repaints, and the Ack counts
+   the sessions whose UPDATE failed at run time. *)
+let committed (t : t) (c : conn) (report : Broadcast.report) (what : string) :
+    unit =
+  let failed =
+    List.length
+      (List.filter
+         (fun (o : Broadcast.session_outcome) ->
+           Result.is_error o.Broadcast.outcome)
+         report.Broadcast.outcomes)
+  in
+  mark_all_dirty t;
+  send t c
+    (Wire.Host (Wire.Ack { info = Printf.sprintf "%s (%d failed)" what failed }))
+
+(* Close the open transaction if [txn] names it, else refuse. *)
+let resolve_txn (t : t) (c : conn) (what : string) (txn : int)
+    (k : Broadcast.txn -> unit) : unit =
+  match t.pending_txn with
+  | Some (open_txn, x) when open_txn = txn ->
+      t.pending_txn <- None;
+      k x
+  | Some (open_txn, _) ->
+      error t c 6
+        (Printf.sprintf "%s txn %d: transaction %d is open" what txn open_txn)
+  | None -> error t c 6 (Printf.sprintf "%s txn %d: none open" what txn)
+
 (* A protocol violation: answer code 1 and close once the write
    drains.  The connection stops being read immediately. *)
 let violation (t : t) (c : conn) (msg : string) : unit =
@@ -235,7 +264,7 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
               match upd with
               | Error m -> error t c 4 m
               | Ok () -> (
-                  (* adopt refuses while a rollout is open (the epoch
+                  (* adopt refuses while a transaction is open (the epoch
                      ledger would not know which epoch to pin the
                      newcomer to) — a resume landing inside a prepared
                      transaction is refused, not fatal *)
@@ -267,103 +296,50 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
       Hashtbl.reset c.views;
       Conn.close_after_flush c.conn
   | Wire.Update { program } -> (
+      (* a one-shot transaction; [Broadcast.prepare] refuses while a
+         prepared one is open *)
       match Snapshot.program_of_string program with
       | Error m -> error t c 6 m
       | Ok p -> (
-          if t.pending_rollout <> None then
-            error t c 6 "a prepared transaction is open"
-          else
-            match Broadcast.update t.reg p with
-            | Error e -> error t c 6 (Live_core.Machine.error_to_string e)
-            | Ok report ->
-                let failed =
-                  List.length
-                    (List.filter
-                       (fun (o : Broadcast.session_outcome) ->
-                         Result.is_error o.Broadcast.outcome)
-                       report.Broadcast.outcomes)
-                in
-                mark_all_dirty t;
-                send t c
-                  (Wire.Host
-                     (Wire.Ack
-                        {
-                          info =
-                            Printf.sprintf "updated %d sessions (%d failed)"
-                              (List.length report.Broadcast.outcomes) failed;
-                        }))))
+          match Broadcast.update t.reg p with
+          | Error e -> error t c 6 (Live_core.Machine.error_to_string e)
+          | Ok report ->
+              committed t c report
+                (Printf.sprintf "updated %d sessions"
+                   (List.length report.Broadcast.outcomes))))
   | Wire.Prepare { txn; program } -> (
       (* phase one of the director's two-phase UPDATE: diff, typecheck
-         and compile, open the target epoch, apply nothing.  Refusing
-         when a transaction is already open is also the fault-injection
-         hook the atomicity tests lean on. *)
-      match t.pending_rollout with
-      | Some (open_txn, _) ->
-          error t c 6 (Printf.sprintf "transaction %d is already open" open_txn)
-      | None -> (
-          match Snapshot.program_of_string program with
-          | Error m -> error t c 6 m
-          | Ok p -> (
-              match Rollout.begin_ ~seed:txn t.reg p with
-              | exception Invalid_argument m -> error t c 6 m
-              | Error e -> error t c 6 (Live_core.Machine.error_to_string e)
-              | Ok r ->
-                  t.pending_rollout <- Some (txn, r);
-                  send t c
-                    (Wire.Host
-                       (Wire.Ack
-                          {
-                            info =
-                              Printf.sprintf "prepared txn %d (epoch %d)" txn
-                                (Rollout.target_epoch r);
-                          })))))
-  | Wire.Commit { txn } -> (
-      match t.pending_rollout with
-      | Some (open_txn, r) when open_txn = txn ->
-          (* canary + promote back to back — no client frame is read in
-             between, so the whole shard moves epochs in one step *)
-          let failed outcomes =
-            List.length
-              (List.filter
-                 (fun (o : Broadcast.session_outcome) ->
-                   Result.is_error o.Broadcast.outcome)
-                 outcomes)
-          in
-          let f1 = failed (Rollout.canary r) in
-          let f2 = failed (Rollout.promote r) in
-          t.pending_rollout <- None;
-          mark_all_dirty t;
+         and compile, open the target epoch, apply nothing.
+         [Broadcast.prepare] refuses while a transaction is already
+         open — also the fault-injection hook the atomicity tests lean
+         on. *)
+      match Snapshot.program_of_string program with
+      | Error m -> error t c 6 m
+      | Ok p -> (
+          match Broadcast.prepare t.reg p with
+          | Error e -> error t c 6 (Live_core.Machine.error_to_string e)
+          | Ok x ->
+              t.pending_txn <- Some (txn, x);
+              send t c
+                (Wire.Host
+                   (Wire.Ack
+                      {
+                        info =
+                          Printf.sprintf "prepared txn %d (epoch %d)" txn
+                            (Broadcast.target_epoch x);
+                      }))))
+  | Wire.Commit { txn } ->
+      (* the whole shard moves epochs in this one step *)
+      resolve_txn t c "commit" txn (fun x ->
+          committed t c (Broadcast.commit x)
+            (Printf.sprintf "committed txn %d" txn))
+  | Wire.Abort { txn } ->
+      (* a prepared transaction never touched a session: every session
+         stays on the base epoch *)
+      resolve_txn t c "abort" txn (fun x ->
+          Broadcast.abort x;
           send t c
-            (Wire.Host
-               (Wire.Ack
-                  {
-                    info =
-                      Printf.sprintf "committed txn %d (%d failed)" txn
-                        (f1 + f2);
-                  }))
-      | Some (open_txn, _) ->
-          error t c 6
-            (Printf.sprintf "commit txn %d: transaction %d is open" txn open_txn)
-      | None -> error t c 6 (Printf.sprintf "commit txn %d: none open" txn))
-  | Wire.Abort { txn } -> (
-      match t.pending_rollout with
-      | Some (open_txn, r) when open_txn = txn ->
-          (* a Staged rollout never touched a session: rollback is a
-             pure close and every session stays on the base epoch *)
-          let errs = Rollout.rollback r in
-          t.pending_rollout <- None;
-          send t c
-            (Wire.Host
-               (Wire.Ack
-                  {
-                    info =
-                      Printf.sprintf "aborted txn %d (%d replay errors)" txn
-                        (List.length errs);
-                  }))
-      | Some (open_txn, _) ->
-          error t c 6
-            (Printf.sprintf "abort txn %d: transaction %d is open" txn open_txn)
-      | None -> error t c 6 (Printf.sprintf "abort txn %d: none open" txn))
+            (Wire.Host (Wire.Ack { info = Printf.sprintf "aborted txn %d" txn })))
   | Wire.Observe ->
       let sessions =
         List.filter_map

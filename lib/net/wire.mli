@@ -55,14 +55,17 @@ type client_frame =
   | Prepare of { txn : int; program : string }
       (** phase one of a cross-shard UPDATE (director → shard): diff,
           typecheck, compile and open the new epoch without applying it
-          ({!Live_host.Rollout.begin_}).  Answered with [Ack] or [Error]
-          code 6; at most one transaction may be open per shard. *)
+          ({!Live_host.Broadcast.prepare}).  Answered with [Ack] or
+          [Error] code 6; at most one transaction may be open per
+          shard. *)
   | Commit of { txn : int }
-      (** phase two: promote the prepared epoch to the whole shard
-          fleet atomically; [txn] must match the open [Prepare] *)
+      (** phase two: migrate the whole shard fleet to the prepared
+          epoch and install it, in one step
+          ({!Live_host.Broadcast.commit}); [txn] must match the open
+          [Prepare] *)
   | Abort of { txn : int }
-      (** roll the prepared epoch back; every session stays on the old
-          code *)
+      (** retire the prepared epoch ({!Live_host.Broadcast.abort});
+          every session stays on the old code *)
   | Observe
       (** ask for an [Observed] frame: the canonical observation text
           of every resident session, in session-id order — the fleet

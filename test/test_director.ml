@@ -378,6 +378,29 @@ let test_update_atomicity ~refusing () =
   Alcotest.(check bool) "2PC p99 >= p50 > 0" true
     (st.Director.txn_p99_ms >= st.Director.txn_p50_ms && st.Director.txn_p50_ms > 0.)
 
+(* A shard's two-phase commit runs the same transaction as a flat
+   Update, so it records the same update metrics: one typecheck
+   (incremental or scratch), the diff's time, and no staged rollout. *)
+let test_update_metrics_per_shard () =
+  let f = mk_fleet ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let admin = Conn.connect (Scenario.socket f) in
+  Fun.protect ~finally:(fun () -> Conn.close admin) @@ fun () ->
+  let pump = Scenario.pump f in
+  ignore (expect_ack ~pump admin (Wire.Update { program = prog_str (app 1) }));
+  List.iteri
+    (fun i reg ->
+      let m = H.Registry.metrics reg in
+      let name what = Printf.sprintf "shard %d %s" i what in
+      Alcotest.(check int) (name "typechecks counted") 1
+        (m.H.Host_metrics.broadcasts_incremental
+        + m.H.Host_metrics.broadcasts_scratch);
+      Alcotest.(check bool) (name "diff timed") true
+        (m.H.Host_metrics.diff_last_ns > 0.);
+      Alcotest.(check int) (name "no staged rollout") 0
+        m.H.Host_metrics.rollouts_begun)
+    (Scenario.registries f)
+
 (* One connection owns sessions on both shards and has a tap in flight
    on each when it sends an Update.  As on a single [Server], its
    frames before the Update meet the old program and its frames after
@@ -648,6 +671,8 @@ let suite =
       `Quick (test_update_atomicity ~refusing:1);
     Alcotest.test_case "two-phase UPDATE is all-or-nothing (shard 0 refuses)"
       `Quick (test_update_atomicity ~refusing:0);
+    Alcotest.test_case "a directed Update records each shard's update metrics"
+      `Quick test_update_metrics_per_shard;
     Alcotest.test_case "an Update's Ack splits one connection's Deltas" `Quick
       test_update_orders_one_connection;
     Alcotest.test_case "a fleet that cannot boot refuses a Hello whole" `Quick

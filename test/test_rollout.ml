@@ -367,9 +367,11 @@ let test_lifecycle_guards_and_metrics () =
   (match H.Rollout.promote r with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "promote from Staged must be refused");
-  (match H.Registry.set_program d.reg (app 2) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "set_program during an open rollout must be refused");
+  (match H.Broadcast.update d.reg (app 2) with
+  | Error (Machine.Not_enabled _) -> ()
+  | _ -> Alcotest.fail "a broadcast during an open rollout must be refused");
+  Alcotest.(check int)
+    "the refusal is counted" 1 m.H.Host_metrics.updates_rejected;
   (* abandoning a never-canaried transaction is a pure close *)
   (match H.Rollout.rollback r with
   | [] -> ()
@@ -390,6 +392,56 @@ let test_lifecycle_guards_and_metrics () =
   let s = H.Registry.snapshot d.reg in
   check_contains "snapshot prints the rollout counters"
     (H.Host_metrics.to_string s) "rollouts"
+
+(* A session spawned while a transaction is open boots on the base
+   epoch; the commit migrates every session not yet on the target, so
+   the late one ends exactly like a session that was already running
+   when a flat broadcast landed. *)
+let test_spawn_mid_transaction () =
+  let observe d id =
+    H.Registry.observe_session (Option.get (H.Registry.session d.reg id))
+  in
+  let control =
+    let d = make_driver ~evaluator:Machine.Compiled (app 0) in
+    let id = ok_machine "spawn" (H.Registry.spawn d.reg) in
+    ignore (ok_rollout "broadcast" (H.Broadcast.update d.reg (app 1)));
+    observe d id
+  in
+  let check what d late =
+    Alcotest.(check (list (pair int string)))
+      (what ^ ": epochs consistent") []
+      (H.Registry.check_epochs d.reg);
+    Alcotest.(check string)
+      (what ^ ": the late session matches a flat broadcast's")
+      control (observe d late)
+  in
+  (* the flat transaction: prepare, spawn, commit *)
+  let d = make_driver ~evaluator:Machine.Compiled (app 0) in
+  let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg 2) in
+  let x = ok_rollout "prepare" (H.Broadcast.prepare d.reg (app 1)) in
+  let late = ok_machine "spawn mid-transaction" (H.Registry.spawn d.reg) in
+  let report = H.Broadcast.commit x in
+  Alcotest.(check (list int))
+    "the commit migrates every session, the late one too"
+    (H.Registry.ids d.reg)
+    (List.map (fun o -> o.H.Broadcast.id) report.H.Broadcast.outcomes);
+  check "broadcast" d late;
+  (* the staged one: the spawn lands between canary and promote *)
+  let d = make_driver ~evaluator:Machine.Compiled (app 0) in
+  let _ = ok_machine "spawn" (H.Registry.spawn_many d.reg 4) in
+  let r =
+    ok_rollout "begin_" (H.Rollout.begin_ ~fraction:0.5 ~seed:3 d.reg (app 1))
+  in
+  let _ = H.Rollout.canary r in
+  let late = ok_machine "spawn mid-window" (H.Registry.spawn d.reg) in
+  Alcotest.(check (option int))
+    "the late session boots on the base epoch"
+    (Some (H.Rollout.base_epoch r))
+    (H.Registry.session_epoch d.reg late);
+  let migrated = H.Rollout.promote r in
+  Alcotest.(check bool) "promote migrates the late session" true
+    (List.exists (fun o -> o.H.Broadcast.id = late) migrated);
+  check "rollout" d late
 
 let test_compose_folds_in_order () =
   let p0 = app 0 and p1 = app 1 and p2 = app 2 in
@@ -444,6 +496,8 @@ let suite =
       test_digest_matrix;
     case "lifecycle guards and rollout metrics"
       test_lifecycle_guards_and_metrics;
+    case "a session spawned mid-transaction is migrated at commit"
+      test_spawn_mid_transaction;
     case "compose folds edits first-edit-first" test_compose_folds_in_order;
     case "a Mutate.transaction change set rides one rollout"
       test_transaction_edit_class;
