@@ -24,7 +24,8 @@
     - B7 [fixup_cost]       — the Fig. 12 store fix-up vs. store size;
     - B8 [session_ablation] — the incremental caches (layout reuse,
       dependency-tracked render memoization, damage repainting) ablated
-      in the full interaction loop: cached vs. uncached tap cycles and
+      in the full interaction loop: cached vs. uncached tap cycles (on
+      synthetic rows and on the mortgage app's detail page) and
       unchanged-store re-renders;
     - B9 [fuzz_throughput]  — the conformance fuzzer's own burn rate:
       traces/sec replayed per oracle configuration and for the full
@@ -659,6 +660,49 @@ let b8 () =
         ])
       sizes
   in
+  (* the paper's app, where painting cost the most: open listing 0, then
+     each cycle taps the APR control (the amortization table re-renders
+     below it) and takes a screenshot *)
+  let mortgage_tests =
+    let core = Live_workloads.Mortgage.core () in
+    let tap_row s pred =
+      let root = Option.get (Live_runtime.Session.layout s) in
+      let rows = Live_runtime.Session.rows s in
+      let rec find y =
+        if y >= Array.length rows then failwith "b8: no tap target"
+        else
+          match pred rows.(y) with
+          | Some x when Live_ui.Layout.handler_at root ~x ~y <> None -> (x, y)
+          | _ -> find (y + 1)
+      in
+      let x, y = find 0 in
+      fun () -> ignore (ok_machine (Live_runtime.Session.tap s ~x ~y))
+    in
+    let apr row =
+      let n = String.length row in
+      let rec go i =
+        if i + 4 > n then None
+        else if String.sub row i 4 = "apr:" then Some i
+        else go (i + 1)
+      in
+      go 0
+    in
+    let session cache =
+      let s = ok_machine (Live_runtime.Session.create ~width:48 ~cache core) in
+      (tap_row s (fun _ -> Some 2)) ();
+      let tap_apr = tap_row s apr in
+      ignore (Live_runtime.Session.screenshot s);
+      fun () ->
+        tap_apr ();
+        ignore (Live_runtime.Session.screenshot s)
+    in
+    [
+      Test.make ~name:"tap-cycle-plain/mortgage"
+        (Staged.stage (session false));
+      Test.make ~name:"tap-cycle-cached/mortgage"
+        (Staged.stage (session true));
+    ]
+  in
   let rows =
     run_experiment
       "B8: session ablation — the caches in the full interaction loop"
@@ -667,7 +711,7 @@ let b8 () =
        on an unchanged-store re-render (revalidation, no evaluation) and \
        on the tap loop (one dirty row re-evaluated, the rest spliced)."
       (Test.make_grouped ~name:"b8"
-         (layout_tests @ rerender_tests @ tap_tests))
+         (layout_tests @ rerender_tests @ tap_tests @ mortgage_tests))
   in
   List.iter
     (fun n ->
@@ -701,6 +745,9 @@ let b8 () =
       Printf.printf "  -> rows=%3d: tap cycle plain/cached = %.2fx\n" n
         (plain /. cached))
     sizes;
+  Printf.printf "  -> mortgage: tap cycle plain/cached = %.2fx\n"
+    (find rows "b8/tap-cycle-plain/mortgage"
+    /. find rows "b8/tap-cycle-cached/mortgage");
   rows
 
 (* ------------------------------------------------------------------ *)

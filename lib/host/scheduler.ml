@@ -95,7 +95,7 @@ let tick (t : t) : tick_report =
           if !n > 0 then begin
             (* the batch's single frame: paint once however many
                events the session just absorbed *)
-            ignore (Session.screenshot s);
+            Session.paint s;
             processed := !processed + !n;
             incr served
           end)

@@ -126,21 +126,20 @@ let drop_conn (t : t) (c : conn) : unit =
   t.s_bytes_out <- t.s_bytes_out + Conn.bytes_out c.conn;
   Conn.close c.conn
 
-let screenshot_rows (t : t) (id : Registry.id) : string array option =
-  match Registry.session t.reg id with
-  | None -> None
-  | Some s -> Some (Wire.rows_of_text (Session.screenshot s))
-
 let attach (t : t) (c : conn) (id : Registry.id) : unit =
   match Registry.session t.reg id with
   | None -> send t c (Wire.Host (Wire.Error { code = 5; msg = string_of_int id }))
   | Some s ->
-      let text = Session.screenshot s in
-      Hashtbl.replace c.views id
-        { last = Wire.rows_of_text text; dirty = false; unacked = 0 };
+      let rows = Session.rows s in
+      Hashtbl.replace c.views id { last = rows; dirty = false; unacked = 0 };
       send t c
         (Wire.Host
-           (Wire.Attach { session = id; width = Session.width s; frame = text }))
+           (Wire.Attach
+              {
+                session = id;
+                width = Session.width s;
+                frame = Wire.text_of_rows rows;
+              }))
 
 let uevent_of_wire : Wire.event -> Registry.uevent = function
   | Wire.Ev_tap { x; y } -> Registry.Tap { x; y }
@@ -378,9 +377,10 @@ let send_deltas (t : t) : unit =
     in
     if attached && not (Conn.closing c.conn) then begin
       view.dirty <- false;
-      match screenshot_rows t id with
+      match Registry.session t.reg id with
       | None -> ()
-      | Some rows ->
+      | Some s ->
+          let rows = Session.rows s in
           let delta = Wire.delta_of_frames ~prev:view.last rows in
           let acks = view.unacked in
           view.unacked <- 0;

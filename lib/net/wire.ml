@@ -397,12 +397,19 @@ let rows_of_text (s : string) : string array =
   in
   Array.of_list parts
 
+let text_of_rows (rows : string array) : string =
+  String.concat "" (Array.fold_right (fun r acc -> r :: "\n" :: acc) rows [])
+
+(* A row the framebuffer left unwritten is the previous frame's string
+   itself, so [==] settles most rows without reading them. *)
 let delta_of_frames ~(prev : string array) (next : string array) :
     (int * string) list =
   let old i = if i < Array.length prev then prev.(i) else "" in
   let rows = ref [] in
   for i = Array.length next - 1 downto 0 do
-    if not (String.equal next.(i) (old i)) then rows := (i, next.(i)) :: !rows
+    let o = old i in
+    if not (next.(i) == o || String.equal next.(i) o) then
+      rows := (i, next.(i)) :: !rows
   done;
   !rows
 

@@ -207,3 +207,6 @@ val delta_of_frames : prev:string array -> string array -> (int * string) list
 val rows_of_text : string -> string array
 (** Split a framebuffer text dump (one row per line, trailing newline)
     into rows. *)
+
+val text_of_rows : string array -> string
+(** The inverse of {!rows_of_text}: each row followed by a newline. *)

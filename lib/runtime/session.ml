@@ -24,7 +24,8 @@
 module Machine = Live_core.Machine
 module State = Live_core.State
 
-(** The last painted frame: box content, its layout, its pixels. *)
+(** The last painted frame: box content, its layout, its pixels (and,
+    inside the framebuffer, its row text). *)
 type frame = {
   fbox : Live_core.Boxcontent.t;
   froot : Live_ui.Layout.node;
@@ -33,7 +34,7 @@ type frame = {
 
 (** Cumulative damage-painting counters (cache-enabled sessions). *)
 type damage_totals = {
-  frames : int;  (** screenshots that painted something *)
+  frames : int;  (** display reads that painted something *)
   skipped_frames : int;  (** identical frames reused outright *)
   full_repaints : int;  (** height changes forcing a full paint *)
   repainted_rows : int;  (** dirty rows actually repainted *)
@@ -75,7 +76,9 @@ type t = {
       (** dependency-tracked render memoization, if on *)
   reuse : Live_ui.Layout.reuse option;
       (** previous-frame physical layout reuse (with [render_cache]) *)
-  mutable frame : frame option;  (** last painted frame (cache on) *)
+  mutable frame : frame option;
+      (** last painted frame, current while its box content is
+          physically the display *)
   mutable damage : damage_totals;
   mutable pending_fault : fault option;
       (** consumed by the next tap/back that enqueues an event *)
@@ -205,9 +208,10 @@ let display_content (t : t) : Live_core.Boxcontent.t option =
   | State.Shown b -> Some b
 
 (** The layout of the current display, computed lazily and cached until
-    the next transition.  When the render cache revalidated the display
-    (the box tree is physically the previous one), the previous layout
-    is reused without recomputation. *)
+    the next transition.  When the display is physically the last
+    painted frame's (the render cache revalidated it, or nothing
+    re-rendered since), that frame's layout is reused without
+    recomputation. *)
 let layout (t : t) : Live_ui.Layout.node option =
   match t.layout with
   | Some l -> Some l
@@ -225,64 +229,62 @@ let layout (t : t) : Live_ui.Layout.node option =
           t.layout <- Some l;
           Some l)
 
-let full_paint (t : t) (root : Live_ui.Layout.node) : Live_ui.Framebuffer.t =
-  let fb =
-    Live_ui.Framebuffer.create ~width:t.width
-      ~height:(max 1 (Live_ui.Layout.total_height root))
-  in
+let full_paint (t : t) (root : Live_ui.Layout.node) :
+    Live_ui.Framebuffer.t * Live_ui.Render.damage =
+  let height = max 1 (Live_ui.Layout.total_height root) in
+  let fb = Live_ui.Framebuffer.create ~width:t.width ~height in
   Live_ui.Render.paint fb root;
-  fb
+  (fb, { Live_ui.Render.repainted_rows = height; total_rows = height; full = true })
+
+(** The current display's framebuffer, painted only if the last frame
+    does not already show this display (physically the same box
+    content); [None] iff the display is [⊥].  Sessions with the render
+    cache repaint the rows the new layout damaged, starting from the
+    last frame; plain sessions repaint in full. *)
+let painted (t : t) : Live_ui.Framebuffer.t option =
+  match (display_content t, layout t) with
+  | None, _ | _, None -> None
+  | Some b, Some root -> (
+      match t.frame with
+      | Some fr when fr.fbox == b ->
+          (* the last frame is already this frame *)
+          t.damage <-
+            { t.damage with skipped_frames = t.damage.skipped_frames + 1 };
+          Some fr.ffb
+      | prev ->
+          let fb, dmg =
+            match (prev, t.render_cache) with
+            | Some fr, Some _ ->
+                Live_ui.Render.paint_damaged ~prev:(fr.froot, fr.ffb) root
+            | _ -> full_paint t root
+          in
+          t.damage <-
+            {
+              t.damage with
+              frames = t.damage.frames + 1;
+              full_repaints =
+                (t.damage.full_repaints
+                + if dmg.Live_ui.Render.full then 1 else 0);
+              repainted_rows =
+                t.damage.repainted_rows + dmg.Live_ui.Render.repainted_rows;
+              total_rows = t.damage.total_rows + dmg.Live_ui.Render.total_rows;
+            };
+          t.frame <- Some { fbox = b; froot = root; ffb = fb };
+          Some fb)
+
+let invalid_text = "<display invalid>"
+
+let paint (t : t) : unit = ignore (painted t)
+
+let rows (t : t) : string array =
+  match painted t with
+  | None -> [| invalid_text |]
+  | Some fb -> Live_ui.Framebuffer.rows fb
 
 let screenshot (t : t) : string =
-  match layout t with
-  | None -> "<display invalid>\n"
-  | Some root -> (
-      match t.render_cache with
-      | None -> Live_ui.Framebuffer.to_text (full_paint t root)
-      | Some _ -> (
-          let b =
-            match display_content t with
-            | Some b -> b
-            | None -> assert false (* layout t returned Some *)
-          in
-          match t.frame with
-          | Some fr when fr.fbox == b ->
-              (* the display was revalidated: the last frame is already
-                 this frame *)
-              t.damage <-
-                { t.damage with skipped_frames = t.damage.skipped_frames + 1 };
-              Live_ui.Framebuffer.to_text fr.ffb
-          | Some fr ->
-              let fb, dmg =
-                Live_ui.Render.paint_damaged ~prev:(fr.froot, fr.ffb) root
-              in
-              t.damage <-
-                {
-                  t.damage with
-                  frames = t.damage.frames + 1;
-                  full_repaints =
-                    (t.damage.full_repaints
-                    + if dmg.Live_ui.Render.full then 1 else 0);
-                  repainted_rows =
-                    t.damage.repainted_rows + dmg.Live_ui.Render.repainted_rows;
-                  total_rows = t.damage.total_rows + dmg.Live_ui.Render.total_rows;
-                };
-              t.frame <- Some { fbox = b; froot = root; ffb = fb };
-              Live_ui.Framebuffer.to_text fb
-          | None ->
-              let fb = full_paint t root in
-              t.damage <-
-                {
-                  t.damage with
-                  frames = t.damage.frames + 1;
-                  full_repaints = t.damage.full_repaints + 1;
-                  repainted_rows =
-                    t.damage.repainted_rows + fb.Live_ui.Framebuffer.height;
-                  total_rows =
-                    t.damage.total_rows + fb.Live_ui.Framebuffer.height;
-                };
-              t.frame <- Some { fbox = b; froot = root; ffb = fb };
-              Live_ui.Framebuffer.to_text fb))
+  match painted t with
+  | None -> invalid_text ^ "\n"
+  | Some fb -> Live_ui.Framebuffer.to_text fb
 
 let screenshot_ansi (t : t) : string =
   match display_content t with

@@ -6,7 +6,7 @@
 type t
 
 type damage_totals = {
-  frames : int;  (** screenshots that painted something *)
+  frames : int;  (** display reads that painted something *)
   skipped_frames : int;  (** identical frames reused outright *)
   full_repaints : int;  (** height changes forcing a full paint *)
   repainted_rows : int;  (** dirty rows actually repainted *)
@@ -49,7 +49,20 @@ val display_content : t -> Live_core.Boxcontent.t option
 val layout : t -> Live_ui.Layout.node option
 (** The current display's layout, cached until the next transition. *)
 
+val paint : t -> unit
+(** Paint the current display unless the last painted frame already
+    shows it.  Every session keeps its last frame, keyed by the
+    display's physical identity; sessions with [cache] repaint only the
+    damaged rows, plain ones repaint in full. *)
+
+val rows : t -> string array
+(** {!paint}, then the frame's rows, trailing blanks trimmed, in a
+    fresh array.  A row unchanged since it was last read is the same
+    string; [[|"<display invalid>"|]] iff the display is [⊥]. *)
+
 val screenshot : t -> string
+(** {!rows}, each followed by a newline. *)
+
 val screenshot_ansi : t -> string
 
 type tap_result =

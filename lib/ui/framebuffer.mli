@@ -1,22 +1,33 @@
 (** A character-cell framebuffer with per-cell colors and emphasis —
     this repository's display device.  Plain-text output feeds the
-    golden tests; ANSI output feeds the CLI. *)
+    golden tests; ANSI output feeds the CLI.
+
+    Cells live in flat byte planes, so painting allocates nothing per
+    cell and {!copy} is a block copy.  Each row's text is kept and
+    rebuilt only after the row is written. *)
 
 type cell = { ch : char; fg : Color.t; bg : Color.t; bold : bool }
 
 val blank : cell
 
-type t = { width : int; height : int; cells : cell array }
+type t
 
 val create : width:int -> height:int -> t
+
 val copy : t -> t
+(** An independent buffer with the same cells.  It shares the source's
+    row strings until either side writes a row. *)
+
+val width : t -> int
+val height : t -> int
 val in_bounds : t -> int -> int -> bool
 
 val get : t -> x:int -> y:int -> cell
 (** Out-of-bounds reads return {!blank}. *)
 
 val set : t -> x:int -> y:int -> cell -> unit
-(** Out-of-bounds writes are ignored. *)
+(** Out-of-bounds writes are ignored.  Colors are stored as 16-bit
+    codes: [Invalid_argument] on an [Indexed i] outside [0..65534]. *)
 
 val set_char :
   t -> x:int -> y:int -> ?fg:Color.t -> ?bg:Color.t -> ?bold:bool ->
@@ -42,8 +53,14 @@ val draw_border :
 (** ASCII frame ([+--+] / [|]) just inside the rectangle; skipped for
     degenerate rectangles.  [rows] as in {!fill_rect}. *)
 
+val rows : t -> string array
+(** Every row's text, trailing blanks trimmed, in a fresh array.  A row
+    not written since it was last read (in this buffer or, across
+    {!copy}, in its source) is the same string as then. *)
+
 val to_text : t -> string
-(** One line per row, trailing blanks trimmed — the golden format. *)
+(** One line per row, trailing blanks trimmed — the golden format:
+    {!rows}, each followed by a newline. *)
 
 val to_ansi : t -> string
 

@@ -172,116 +172,44 @@ let rec rebase ~(dx : int) ~(dy : int) ~(prefix : int list) (n : node) : node
     cache splices unchanged subtrees as the very same values, so a
     subtree that is [==] to what stood at the same box path last frame
     (with the same available width, stretch mode and srcid) lays out to
-    the same node, translated.  Unlike the structural {!cache} this
-    needs no hashing and no deep equality, and it holds exactly one
-    frame's entries, so it cannot grow without bound. *)
-type reuse = {
-  mutable last : (int list, reuse_entry) Hashtbl.t;
-      (** box path -> what was there last frame *)
-  mutable rhits : int;
-  mutable rmisses : int;
-}
+    the same node, translated.  The state is the previous frame itself
+    — its width, box content and layout tree — walked in lockstep with
+    the new frame: child [i] of a box is compared with child [i] of the
+    same box last frame.  Unlike the structural {!cache} this needs no
+    hashing and no deep equality, and it holds exactly one frame. *)
+type reuse = { mutable last : (int * Boxcontent.t * node) option }
 
-and reuse_entry = {
-  ebox : Boxcontent.t;
-  esrcid : Live_core.Srcid.t option;
-  eavail : int;
-  estretch : bool;
-  enode : node;
-}
-
-let create_reuse () : reuse =
-  { last = Hashtbl.create 64; rhits = 0; rmisses = 0 }
-
-let reuse_stats (r : reuse) = (r.rhits, r.rmisses)
-
-(* Record a laid-out subtree in the next frame's table.  Children's
-   layout inputs are recovered from the node itself: vertical children
-   stretch to the parent's inner width; horizontal children shrink
-   within the space right of their own left edge. *)
-let rec register_tree (next : (int list, reuse_entry) Hashtbl.t)
-    (b : Boxcontent.t) ~(srcid : Live_core.Srcid.t option) ~(avail : int)
-    ~(stretch : bool) (n : node) : unit =
-  Hashtbl.replace next n.bpath
-    { ebox = b; esrcid = srcid; eavail = avail; estretch = stretch; enode = n };
-  let horizontal = n.style.Style.direction = Style.Horizontal in
-  let boxes =
-    List.filter_map
-      (function Boxcontent.Box (id, c) -> Some (id, c) | _ -> None)
-      b
-  in
-  let childs =
-    List.filter_map (function Child c -> Some c | Text _ -> None) n.items
-  in
-  (* every Box item becomes a Child node, in order, by construction;
-     stop at the shorter list out of caution *)
-  let rec both bs cs =
-    match (bs, cs) with
-    | (id, cb) :: bs, cn :: cs ->
-        let avail =
-          if horizontal then n.inner.x + n.inner.w - cn.outer.x
-          else n.inner.w
-        in
-        register_tree next cb ~srcid:id ~avail ~stretch:(not horizontal) cn;
-        both bs cs
-    | _, _ -> ()
-  in
-  both boxes childs
+let create_reuse () : reuse = { last = None }
 
 (** Lay out one box at absolute position [(x, y)] with [avail] outer
     width.  [stretch] forces the frame to fill the available width
-    (vertical-stack children); otherwise the box shrinks to content.
-    [frame] is the previous-frame physical-reuse table (paired with the
-    table being filled for the next frame); when active it takes the
-    place of the structural [cache]. *)
-let rec layout_box_frames ?cache ?frame ~(x : int) ~(y : int) ~(avail : int)
+    (vertical-stack children); otherwise the box shrinks to content. *)
+let rec layout_box ?cache ~(x : int) ~(y : int) ~(avail : int)
     ~(stretch : bool) ~(bpath : int list)
     (srcid : Live_core.Srcid.t option) (b : Boxcontent.t) : node =
-  match frame with
-  | Some (r, next) -> (
-      match Hashtbl.find_opt r.last bpath with
-      | Some e
-        when e.ebox == b && e.eavail = avail && e.estretch = stretch
-             && Option.equal Live_core.Srcid.equal e.esrcid srcid ->
-          r.rhits <- r.rhits + 1;
-          let n0 = e.enode in
-          let n =
-            rebase ~dx:(x - n0.outer.x) ~dy:(y - n0.outer.y) ~prefix:[] n0
-          in
-          register_tree next b ~srcid ~avail ~stretch n;
-          n
+  match cache with
+  | None -> layout_box_raw ~x ~y ~avail ~stretch ~bpath srcid b
+  | Some c -> (
+      let id =
+        match srcid with Some i -> Live_core.Srcid.to_int i | None -> -1
+      in
+      let key = (Boxcontent.hash b, id, avail, stretch) in
+      match Hashtbl.find_opt c.tbl key with
+      | Some (b0, n0) when Boxcontent.equal b0 b ->
+          c.hits <- c.hits + 1;
+          rebase ~dx:x ~dy:y ~prefix:bpath n0
       | _ ->
-          r.rmisses <- r.rmisses + 1;
-          let n = layout_box_raw ?frame ~x ~y ~avail ~stretch ~bpath srcid b in
-          Hashtbl.replace next bpath
-            { ebox = b; esrcid = srcid; eavail = avail; estretch = stretch;
-              enode = n };
-          n)
-  | None -> (
-      match cache with
-      | None ->
-          layout_box_raw ?cache:None ~x ~y ~avail ~stretch ~bpath srcid b
-      | Some c -> (
-          let id =
-            match srcid with
-            | Some i -> Live_core.Srcid.to_int i
-            | None -> -1
+          c.misses <- c.misses + 1;
+          let n0 =
+            layout_box_raw ~cache:c ~x:0 ~y:0 ~avail ~stretch ~bpath:[] srcid b
           in
-          let key = (Boxcontent.hash b, id, avail, stretch) in
-          match Hashtbl.find_opt c.tbl key with
-          | Some (b0, n0) when Boxcontent.equal b0 b ->
-              c.hits <- c.hits + 1;
-              rebase ~dx:x ~dy:y ~prefix:bpath n0
-          | _ ->
-              c.misses <- c.misses + 1;
-              let n0 =
-                layout_box_raw ~cache:c ~x:0 ~y:0 ~avail ~stretch ~bpath:[]
-                  srcid b
-              in
-              Hashtbl.replace c.tbl key (b, n0);
-              rebase ~dx:x ~dy:y ~prefix:bpath n0))
+          Hashtbl.replace c.tbl key (b, n0);
+          rebase ~dx:x ~dy:y ~prefix:bpath n0)
 
-and layout_box_raw ?cache ?frame ~(x : int) ~(y : int) ~(avail : int)
+(* [prev] is the previous frame's content and node at this box path:
+   its children are walked in lockstep with [b]'s for physical reuse,
+   which takes the place of the structural [cache] (never both). *)
+and layout_box_raw ?cache ?prev ~(x : int) ~(y : int) ~(avail : int)
     ~(stretch : bool) ~(bpath : int list)
     (srcid : Live_core.Srcid.t option) (b : Boxcontent.t) : node =
   let style = Style.of_box b in
@@ -307,6 +235,53 @@ and layout_box_raw ?cache ?frame ~(x : int) ~(y : int) ~(avail : int)
   let max_row_h = ref 0 in
   let box_index = ref 0 in
   let horizontal = style.Style.direction = Style.Horizontal in
+  (* the previous frame's boxes and nodes not yet paired with a child *)
+  let pboxes = ref (match prev with Some (pb, _) -> pb | None -> []) in
+  let pitems = ref (match prev with Some (_, pn) -> pn.items | None -> []) in
+  let rec next_pbox () =
+    match !pboxes with
+    | [] -> None
+    | it :: rest -> (
+        pboxes := rest;
+        match it with Boxcontent.Box (id, c) -> Some (id, c) | _ -> next_pbox ())
+  in
+  let rec next_pnode () =
+    match !pitems with
+    | [] -> None
+    | it :: rest -> (
+        pitems := rest;
+        match it with Child n -> Some n | Text _ -> next_pnode ())
+  in
+  (* Child [idx] of this box: reused from child [idx] of the previous
+     frame's box when the content is physically the same and the
+     layout inputs agree (a child's avail and stretch follow from its
+     parent's direction, inner rectangle and the child's own left
+     edge), else laid out against it in lockstep. *)
+  let child ~x ~y ~avail ~stretch ~idx child_id cb =
+    match prev with
+    | None ->
+        layout_box ?cache ~x ~y ~avail ~stretch ~bpath:(bpath @ [ idx ])
+          child_id cb
+    | Some (_, pparent) -> (
+        match (next_pbox (), next_pnode ()) with
+        | Some (pid, pb), Some pn ->
+            let phoriz = pparent.style.Style.direction = Style.Horizontal in
+            let pavail =
+              if phoriz then
+                max 0 (pparent.inner.x + pparent.inner.w - pn.outer.x)
+              else pparent.inner.w
+            in
+            if
+              pb == cb && pavail = avail && phoriz = not stretch
+              && Option.equal Live_core.Srcid.equal pid child_id
+            then rebase ~dx:(x - pn.outer.x) ~dy:(y - pn.outer.y) ~prefix:[] pn
+            else
+              layout_box_raw ~prev:(pb, pn) ~x ~y ~avail ~stretch
+                ~bpath:(bpath @ [ idx ]) child_id cb
+        | _ ->
+            layout_box_raw ~x ~y ~avail ~stretch ~bpath:(bpath @ [ idx ])
+              child_id cb)
+  in
   List.iter
     (fun it ->
       match it with
@@ -331,15 +306,14 @@ and layout_box_raw ?cache ?frame ~(x : int) ~(y : int) ~(avail : int)
             items := Text { lines; rect = r; style } :: !items;
             cursor_y := !cursor_y + h
           end
-      | Boxcontent.Box (child_id, child) ->
+      | Boxcontent.Box (child_id, cb) ->
           let idx = !box_index in
           incr box_index;
           if horizontal then begin
-            let child_avail = max 0 (inner_x + inner_w - !cursor_x) in
             let n =
-              layout_box_frames ?cache ?frame ~x:!cursor_x ~y:!cursor_y
-                ~avail:child_avail ~stretch:false ~bpath:(bpath @ [ idx ])
-                child_id child
+              child ~x:!cursor_x ~y:!cursor_y
+                ~avail:(max 0 (inner_x + inner_w - !cursor_x))
+                ~stretch:false ~idx child_id cb
             in
             items := Child n :: !items;
             cursor_x := !cursor_x + n.outer.w;
@@ -347,8 +321,8 @@ and layout_box_raw ?cache ?frame ~(x : int) ~(y : int) ~(avail : int)
           end
           else begin
             let n =
-              layout_box_frames ?cache ?frame ~x:inner_x ~y:!cursor_y ~avail:inner_w
-                ~stretch:true ~bpath:(bpath @ [ idx ]) child_id child
+              child ~x:inner_x ~y:!cursor_y ~avail:inner_w ~stretch:true ~idx
+                child_id cb
             in
             items := Child n :: !items;
             cursor_y := !cursor_y + n.outer.h
@@ -369,24 +343,26 @@ and layout_box_raw ?cache ?frame ~(x : int) ~(y : int) ~(avail : int)
   let inner = inset frame chrome in
   { srcid; bpath; style; outer; frame; inner; items = List.rev !items }
 
-let layout_box ?cache ~x ~y ~avail ~stretch ~bpath srcid b =
-  layout_box_frames ?cache ~x ~y ~avail ~stretch ~bpath srcid b
-
 (** Lay out a page's whole box content under the implicit top-level
     box ("our model has an implicit top-level box", Sec. 4.3).
-    [reuse] rotates the previous-frame table: the layout consults last
-    frame's entries and leaves behind this frame's. *)
+    [reuse] holds the previous frame: the layout walks it in lockstep
+    and leaves this frame behind in its place. *)
 let layout_page ?cache ?reuse ?(width = 48) (b : Boxcontent.t) : node =
   match reuse with
   | None ->
-      layout_box_frames ?cache ~x:0 ~y:0 ~avail:width ~stretch:true ~bpath:[] None b
+      layout_box ?cache ~x:0 ~y:0 ~avail:width ~stretch:true ~bpath:[] None b
   | Some r ->
-      let next = Hashtbl.create (max 16 (Hashtbl.length r.last)) in
       let n =
-        layout_box_frames ?cache ~frame:(r, next) ~x:0 ~y:0 ~avail:width
-          ~stretch:true ~bpath:[] None b
+        match r.last with
+        | Some (w, pb, pn) when w = width ->
+            if pb == b then pn
+            else
+              layout_box_raw ~prev:(pb, pn) ~x:0 ~y:0 ~avail:width
+                ~stretch:true ~bpath:[] None b
+        | _ ->
+            layout_box_raw ~x:0 ~y:0 ~avail:width ~stretch:true ~bpath:[] None b
       in
-      r.last <- next;
+      r.last <- Some (width, b, n);
       n
 
 (* ------------------------------------------------------------------ *)

@@ -44,18 +44,18 @@ val cache_stats : cache -> int * int
 (** {1 Previous-frame reuse}
 
     Physical-identity layout reuse for box trees produced by
-    {!Live_core.Render_cache}: a subtree that is [==] to what stood at
-    the same box path last frame (same available width, stretch and
-    srcid) reuses its node, translated.  No hashing, no deep equality,
-    and the table holds exactly one frame, so it cannot grow without
-    bound.  When active it takes the place of the structural cache. *)
+    {!Live_core.Render_cache}: the previous frame's content and layout
+    tree are walked in lockstep with the new frame, and child [i] of a
+    box that is [==] to child [i] of the same box last frame (same
+    available width, stretch and srcid) reuses its node, translated —
+    the node itself when it did not move.  No hashing, no deep
+    equality, and the state is exactly one frame, so it cannot grow
+    without bound.  When active it takes the place of the structural
+    cache. *)
 
 type reuse
 
 val create_reuse : unit -> reuse
-
-val reuse_stats : reuse -> int * int
-(** (hits, misses). *)
 
 val layout_box :
   ?cache:cache ->
@@ -71,8 +71,8 @@ val layout_box :
 val layout_page :
   ?cache:cache -> ?reuse:reuse -> ?width:int -> Live_core.Boxcontent.t -> node
 (** Lay the page out under the implicit top-level box (Sec. 4.3);
-    [width] defaults to 48 cells.  [reuse] rotates the previous-frame
-    table (consult last frame, leave behind this frame). *)
+    [width] defaults to 48 cells.  [reuse] holds the previous frame:
+    the layout is walked against it and then replaces it. *)
 
 (** {1 Queries} *)
 

@@ -140,8 +140,8 @@ let paint_damaged ~(prev : Layout.node * Framebuffer.t) ?(fg = Color.Default)
     (root : Layout.node) : Framebuffer.t * damage =
   let prev_root, prev_fb = prev in
   let height = max 1 (Layout.total_height root) in
-  let width = prev_fb.Framebuffer.width in
-  if height <> prev_fb.Framebuffer.height then begin
+  let width = Framebuffer.width prev_fb in
+  if height <> Framebuffer.height prev_fb then begin
     let fb = Framebuffer.create ~width ~height in
     paint fb ~fg root;
     (fb, { repainted_rows = height; total_rows = height; full = true })

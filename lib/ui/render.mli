@@ -23,9 +23,11 @@ val paint_damaged :
   ?fg:Color.t ->
   Layout.node ->
   Framebuffer.t * damage
-(** Repaint only the dirty rows, starting from the previous frame.
-    Cell-identical to a full {!paint} into a fresh buffer; returns the
-    previous buffer unchanged when nothing differs. *)
+(** Repaint only the dirty rows, starting from a copy of the previous
+    frame.  Cell-identical to a full {!paint} into a fresh buffer; a
+    clean row keeps the previous frame's row string
+    ({!Framebuffer.row}).  Returns the previous buffer unchanged when
+    nothing differs. *)
 
 val render_page :
   ?cache:Layout.cache ->

@@ -90,6 +90,62 @@ let test_colors () =
     (Color.sgr_fg (Color.of_name "light blue"));
   Alcotest.(check string) "default is empty" "" (Color.sgr_fg Color.Default)
 
+(* A page whose one box background covers every cell: painting it into
+   a buffer already made must not allocate per cell (a per-cell record
+   would cost 5 words a write). *)
+let test_paint_allocates_nothing_per_cell () =
+  let w = 48 and h = 20 in
+  let page =
+    Live_core.
+      [
+        Boxcontent.Box
+          ( None,
+            [
+              Boxcontent.Attr ("background", Ast.VStr "blue");
+              Boxcontent.Attr ("height", Ast.VNum (float_of_int h));
+              Boxcontent.Leaf (Ast.VStr "hello");
+            ] );
+      ]
+  in
+  let root = Layout.layout_page ~width:w page in
+  Alcotest.(check int) "page height" h (Layout.total_height root);
+  let fb = mk w h in
+  let before = Gc.minor_words () in
+  Render.paint fb root;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "background covers the last cell" true
+    (Color.equal (Framebuffer.get fb ~x:(w - 1) ~y:(h - 1)).Framebuffer.bg
+       (Color.of_name "blue"));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d cells" words (w * h))
+    true
+    (words < float_of_int (w * h / 8))
+
+let test_copy_is_independent () =
+  let fb = mk 6 3 in
+  Framebuffer.draw_text fb ~x:0 ~y:0 "top";
+  Framebuffer.draw_text fb ~x:1 ~y:2 "low";
+  let text = Framebuffer.to_text fb and rows = Framebuffer.rows fb in
+  let c = Framebuffer.copy fb in
+  Framebuffer.draw_text c ~x:0 ~y:0 "new";
+  Framebuffer.set_char c ~x:5 ~y:1 'x' ~bg:(Color.of_name "red");
+  Framebuffer.clear_row c 2;
+  Alcotest.(check string) "source text" text (Framebuffer.to_text fb);
+  Alcotest.(check (array string)) "source rows" rows (Framebuffer.rows fb);
+  Alcotest.(check string) "copy text" "new\n     x\n\n" (Framebuffer.to_text c);
+  Alcotest.(check bool) "source cell" true
+    (Color.equal (Framebuffer.get fb ~x:5 ~y:1).Framebuffer.bg Color.Default)
+
+let test_rows_rebuilt_only_when_written () =
+  let fb = mk 5 2 in
+  Framebuffer.draw_text fb ~x:0 ~y:0 "ab  ";
+  let before = Framebuffer.rows fb in
+  Alcotest.(check string) "trimmed" "ab" before.(0);
+  Framebuffer.draw_text fb ~x:0 ~y:1 "cd";
+  let after = Framebuffer.rows fb in
+  Alcotest.(check bool) "unwritten row kept" true (after.(0) == before.(0));
+  Alcotest.(check string) "written row rebuilt" "cd" after.(1)
+
 let suite =
   [
     Helpers.case "blank buffer" test_create_blank;
@@ -102,4 +158,9 @@ let suite =
     Helpers.case "diff_cells" test_diff_cells;
     Helpers.case "ANSI output" test_ansi_output;
     Helpers.case "color palette" test_colors;
+    Helpers.case "painting allocates nothing per cell"
+      test_paint_allocates_nothing_per_cell;
+    Helpers.case "a copy is independent of its source" test_copy_is_independent;
+    Helpers.case "row text is rebuilt only when written"
+      test_rows_rebuilt_only_when_written;
   ]

@@ -187,6 +187,181 @@ let test_count_nodes () =
   let root = Layout.layout_page ~width:10 tree_with_handlers in
   Alcotest.(check int) "boxes + root" 4 (Layout.count_nodes root)
 
+(* ------------------------------------------------------------------ *)
+(* Previous-frame reuse: a sequence of frames sharing subtrees          *)
+(* ------------------------------------------------------------------ *)
+
+let words = [| "a"; "bb"; "ccc"; "dd dd"; "e e e e"; "ffffffff"; "g" |]
+
+(* A random box; a first item that is a box makes a direction flip keep
+   a child's avail while its stretch changes. *)
+let rec rand_box rs depth : Boxcontent.t =
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let chance p = Random.State.float rs 1.0 < p in
+  let attrs =
+    List.concat
+      [
+        (if chance 0.3 then [ sattr "direction" "horizontal" ] else []);
+        (if chance 0.15 then [ nattr "width" (float_of_int (4 + Random.State.int rs 16)) ] else []);
+        (if chance 0.2 then [ nattr "border" 1.0 ] else []);
+        (if chance 0.2 then [ nattr "padding" 1.0 ] else []);
+        (if chance 0.15 then [ nattr "margin" 1.0 ] else []);
+      ]
+  in
+  let items =
+    List.init (1 + Random.State.int rs 4) (fun _ ->
+        if depth > 0 && chance 0.6 then rand_child rs (depth - 1)
+        else leaf (pick words))
+  in
+  attrs @ items
+
+and rand_child rs depth : Boxcontent.item =
+  let id = if Random.State.bool rs then Some (Random.State.int rs 4) else None in
+  box ?id (rand_box rs depth)
+
+(* Rebuild the spine down to box [path] (indices among box children),
+   sharing every other subtree physically. *)
+let rec update_at path f (b : Boxcontent.t) : Boxcontent.t =
+  match path with
+  | [] -> f b
+  | i :: rest ->
+      let k = ref (-1) in
+      List.map
+        (function
+          | Boxcontent.Box (id, c) as it ->
+              incr k;
+              if !k = i then Boxcontent.Box (id, update_at rest f c) else it
+          | it -> it)
+        b
+
+let rec box_paths (b : Boxcontent.t) : int list list =
+  []
+  :: List.concat
+       (List.mapi
+          (fun i (_, c) -> List.map (fun p -> i :: p) (box_paths c))
+          (Boxcontent.children b))
+
+(* Apply one random edit to the box at a random path. *)
+let edit rs (b, width) : Boxcontent.t * int =
+  let paths = Array.of_list (box_paths b) in
+  let path = paths.(Random.State.int rs (Array.length paths)) in
+  let nth_box items =
+    let n = List.length (Boxcontent.children items) in
+    if n = 0 then None else Some (Random.State.int rs n)
+  in
+  (* map the [j]-th box item of a content list *)
+  let map_box j f items =
+    let k = ref (-1) in
+    List.concat_map
+      (function
+        | Boxcontent.Box _ as it ->
+            incr k;
+            if !k = j then f it else [ it ]
+        | it -> [ it ])
+      items
+  in
+  match Random.State.int rs 8 with
+  | 0 -> (update_at path (fun c -> rand_child rs 1 :: c) b, width)
+  | 1 ->
+      ( update_at path
+          (fun c ->
+            match nth_box c with None -> c | Some j -> map_box j (fun _ -> []) c)
+          b,
+        width )
+  | 2 ->
+      (* move the last box child to the front *)
+      ( update_at path
+          (fun c ->
+            match List.rev (Boxcontent.children c) with
+            | [] -> c
+            | (id, last) :: _ ->
+                let n = List.length (Boxcontent.children c) in
+                Boxcontent.Box (id, last) :: map_box (n - 1) (fun _ -> []) c)
+          b,
+        width )
+  | 3 ->
+      (* same content, another srcid *)
+      ( update_at path
+          (fun c ->
+            match nth_box c with
+            | None -> c
+            | Some j ->
+                map_box j
+                  (function
+                    | Boxcontent.Box (id, inner) ->
+                        let id' =
+                          match id with
+                          | Some i -> Some (Srcid.of_int (Srcid.to_int i + 1))
+                          | None -> Some (Srcid.of_int 0)
+                        in
+                        [ Boxcontent.Box (id', inner) ]
+                    | it -> [ it ])
+                  c)
+          b,
+        width )
+  | 4 -> (b, 12 + Random.State.int rs 30)
+  | 5 ->
+      (* flip the direction; children stay shared *)
+      ( update_at path
+          (fun c ->
+            let h =
+              match Boxcontent.own_attr "direction" c with
+              | Some (Ast.VStr "horizontal") -> true
+              | _ -> false
+            in
+            c @ [ sattr "direction" (if h then "vertical" else "horizontal") ])
+          b,
+        width )
+  | 6 ->
+      ( update_at path
+          (fun c -> c @ [ leaf words.(Random.State.int rs (Array.length words)) ])
+          b,
+        width )
+  | _ -> (b, width)
+
+let kids (n : Layout.node) =
+  List.filter_map (function Layout.Child c -> Some c | Layout.Text _ -> None)
+    n.Layout.items
+
+let prop_reuse_equals_fresh =
+  qcheck ~count:300 "previous-frame reuse = fresh layout, frame after frame"
+    QCheck2.Gen.(pair int (int_range 1 15))
+    (fun (seed, frames) ->
+      let rs = Random.State.make [| seed |] in
+      let reuse = Layout.create_reuse () in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let rec go k (b, width) prev =
+        let n = Layout.layout_page ~reuse ~width b in
+        if not (Layout.node_equal n (Layout.layout_page ~width b)) then
+          fail "frame %d: reuse layout differs from a fresh layout" k;
+        (match prev with
+        | Some (pb, pwidth, pn) when pwidth = width ->
+            (* an unmoved, unchanged child of a vertical root is the
+               previous node itself *)
+            let vertical (m : Layout.node) =
+              m.Layout.style.Style.direction = Style.Vertical
+            in
+            if vertical n && vertical pn then
+              let rec walk bs pbs ns pns =
+                match (bs, pbs, ns, pns) with
+                | (id, c) :: bs, (pid, pc) :: pbs, m :: ns, pm :: pns ->
+                    if
+                      c == pc
+                      && Option.equal Srcid.equal id pid
+                      && m.Layout.outer.Geometry.y = pm.Layout.outer.Geometry.y
+                      && not (m == pm)
+                    then fail "frame %d: an unmoved child was laid out again" k;
+                    walk bs pbs ns pns
+                | _ -> ()
+              in
+              walk (Boxcontent.children b) (Boxcontent.children pb) (kids n)
+                (kids pn)
+        | _ -> ());
+        if k < frames then go (k + 1) (edit rs (b, width)) (Some (b, width, n))
+      in
+      go 0 (rand_box rs 3, 30) None;
+      true)
+
 let suite =
   [
     case "wrap_text" test_wrap_text;
@@ -202,4 +377,5 @@ let suite =
     case "box paths" test_bpaths;
     case "cache is transparent and effective" test_cache_equivalence;
     case "node counting" test_count_nodes;
+    prop_reuse_equals_fresh;
   ]

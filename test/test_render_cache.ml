@@ -184,6 +184,34 @@ let test_damage_full_on_height_change () =
     (Live_ui.Framebuffer.to_text (full_paint root1))
     (Live_ui.Framebuffer.to_text fb1)
 
+(* a damage repaint writes only its dirty rows, so every clean row's
+   text is the previous frame's string itself *)
+let test_clean_rows_keep_their_text () =
+  let row s = Boxcontent.Box (None, [ Boxcontent.Leaf (Live_core.Ast.VStr s) ]) in
+  let page mid = [ row "alpha"; row mid; row "gamma"; row "delta" ] in
+  let root0 = Live_ui.Layout.layout_page ~width:40 (page "beta") in
+  let root1 = Live_ui.Layout.layout_page ~width:40 (page "BETA") in
+  let fb0 = full_paint root0 in
+  let rows0 = Live_ui.Framebuffer.rows fb0 in
+  let fb1, dmg = Live_ui.Render.paint_damaged ~prev:(root0, fb0) root1 in
+  Alcotest.(check int) "one dirty row" 1 dmg.Live_ui.Render.repainted_rows;
+  let rows1 = Live_ui.Framebuffer.rows fb1 in
+  Alcotest.(check (array string))
+    "rows = a full repaint's"
+    (Live_ui.Framebuffer.rows (full_paint root1))
+    rows1;
+  Array.iteri
+    (fun y r ->
+      if y <> 1 then
+        Alcotest.(check bool)
+          (Printf.sprintf "row %d is the previous string" y)
+          true (r == rows0.(y)))
+    rows1;
+  Alcotest.(check (array string))
+    "the previous frame is untouched"
+    [| "alpha"; "beta"; "gamma"; "delta" |]
+    (Live_ui.Framebuffer.rows fb0)
+
 (* ------------------------------------------------------------------ *)
 (* Unit: the TAP handler index                                         *)
 (* ------------------------------------------------------------------ *)
@@ -352,6 +380,7 @@ let suite =
     case "damage repaint is cell-identical" test_damage_repaint_is_cell_identical;
     case "no damage on unchanged layout" test_damage_zero_when_unchanged;
     case "height change forces full repaint" test_damage_full_on_height_change;
+    case "clean rows keep their text" test_clean_rows_keep_their_text;
     case "handler index agrees with the scan" test_handler_index_agrees_with_scan;
     prop_cached_equals_uncached;
     prop_session_pixels_identical;

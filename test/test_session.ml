@@ -86,6 +86,21 @@ let test_layout_cached_until_transition () =
   Alcotest.(check bool) "recomputed after transition" true
     (match (l1, l3) with Some a, Some b -> not (a == b) | _ -> false)
 
+(* every session keeps its last frame: reading an unchanged plain
+   session twice repaints nothing and returns the same row strings *)
+let test_plain_rows_painted_once () =
+  let s = session_of ~width:20 Live_workloads.Counter.source in
+  let r1 = Session.rows s in
+  let r2 = Session.rows s in
+  Alcotest.(check bool) "physically equal rows" true
+    (Array.length r1 = Array.length r2 && Array.for_all2 ( == ) r1 r2);
+  Alcotest.(check string) "screenshot is the rows joined"
+    (String.concat "" (Array.to_list (Array.map (fun r -> r ^ "\n") r1)))
+    (Session.screenshot s);
+  ignore (ok_machine "tap" (Session.tap s ~x:2 ~y:1));
+  Alcotest.(check bool) "a tap repaints" true
+    (contains (String.concat "\n" (Array.to_list (Session.rows s))) "taps: 1")
+
 let suite =
   [
     case "boot and screenshot" test_boot_and_screenshot;
@@ -93,6 +108,7 @@ let suite =
     case "taps outside handlers do nothing" test_tap_missing_handler;
     case "trace records all interactions" test_trace_records_everything;
     case "update reports the fixup" test_update_reports_fixup;
+    case "plain sessions paint each display once" test_plain_rows_painted_once;
     case "page navigation" test_navigation_between_pages;
     case "layout caching per display" test_layout_cached_until_transition;
   ]
