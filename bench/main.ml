@@ -33,8 +33,10 @@
     - B10 [host_throughput] — the multi-session live host (lib/host):
       events/sec and p50/p99 scheduler-tick latency at fleet sizes
       {1, 10, 100, 1000}, plus broadcast-update fan-out time, under
-      the seeded synthetic load, and the time and allocation of a tick
-      with one pending tap at fleets {10, 1000};
+      the seeded synthetic load, the time and allocation of a tick
+      with one pending tap at fleets {10, 1000}, and a 50-session
+      mortgage shard's tap with and without edits and its epoch's
+      render-table size against the bound;
     - B12 [compiled_eval]   — the closure-compiled evaluator
       (lib/core/compile_eval) against the substitution machine:
       speedup and allocation reduction on the hot render (B1), the
@@ -959,6 +961,156 @@ let b10_sparse () : jentry list =
       ])
     [ (10, t_small, a_small); (1000, t_large, a_large) ]
 
+(** B10's epoch-cache rows: a shard of 50 mortgage sessions on the
+    livebench session config (width 48, render cache on, batch 8),
+    each browsing as livebench's users do — open a listing, tap its
+    term or APR control 1-6 times, go back — one tap per tick.  The
+    saturation pattern runs 400 taps per session with no edit; the
+    interactive pattern runs 200 taps per session, then 1,200 taps on
+    random sessions with an I2/I3 toggle broadcast every 12 taps.  Each
+    reports the time and allocation of a tap (offer, tick: tap, render,
+    paint), edits excluded; the saturation run also reports the most
+    entries the epoch's render tables held, against their bound. *)
+let b10_epoch () : jentry list =
+  let module H = Live_host in
+  let module Prng = Live_core.Prng in
+  let module Layout = Live_ui.Layout in
+  let k = 50 and width = 48 in
+  let program v =
+    Live_workloads.Mortgage.core ~listings:12 ~i2:(v land 1 = 1)
+      ~i3:(v land 2 = 2) ()
+  in
+  (* one cell of each tappable box, in reading order *)
+  let targets (s : Live_runtime.Session.t) : (int * int) array =
+    match Live_runtime.Session.layout s with
+    | None -> [||]
+    | Some node ->
+        let groups = ref [] in
+        for y = 0 to Layout.total_height node - 1 do
+          for x = 0 to width - 1 do
+            match Layout.handler_at node ~x ~y with
+            | None -> ()
+            | Some v -> (
+                match List.assq_opt v !groups with
+                | Some cells -> cells := (x, y) :: !cells
+                | None -> groups := (v, ref [ (x, y) ]) :: !groups)
+          done
+        done;
+        List.rev_map
+          (fun (_, cells) ->
+            let a = Array.of_list (List.rev !cells) in
+            a.(Array.length a / 2))
+          !groups
+        |> Array.of_list
+  in
+  let listings, controls =
+    let s = ok_machine (Live_runtime.Session.create ~width (program 0)) in
+    let listings = targets s in
+    ( listings,
+      Array.map
+        (fun (x, y) ->
+          ignore (ok_machine (Live_runtime.Session.tap s ~x ~y));
+          let d = targets s in
+          ok_machine (Live_runtime.Session.back s);
+          d)
+        listings )
+  in
+  let fleet () =
+    let cfg =
+      { H.Registry.default_config with H.Registry.width; cache = true }
+    in
+    let reg = H.Registry.create ~config:cfg (program 0) in
+    ignore (ok_machine (H.Registry.spawn_many reg k));
+    let sched = H.Scheduler.create ~batch:8 reg in
+    (* per session: its generator and the control taps left on the
+       open listing ([-1]: on the start page) *)
+    let users = Array.init k (fun i -> (Prng.create (Prng.derive 77 i), ref (-1, 0))) in
+    let tap i =
+      let rng, page = users.(i) in
+      let ev =
+        match !page with
+        | -1, _ ->
+            let l = Prng.int rng (Array.length listings) in
+            page := (l, 1 + Prng.int rng 6);
+            let x, y = listings.(l) in
+            H.Registry.Tap { x; y }
+        | _, 0 ->
+            page := (-1, 0);
+            H.Registry.Back
+        | l, left ->
+            page := (l, left - 1);
+            let x, y = controls.(l).(Prng.int rng 2) in
+            H.Registry.Tap { x; y }
+      in
+      ignore (H.Registry.offer reg (H.Registry.id_at reg i) ev);
+      if (H.Scheduler.tick sched).H.Scheduler.processed <> 1 then
+        failwith "b10 epoch cache: expected one event"
+    in
+    (reg, tap)
+  in
+  let allocated () =
+    let st = Gc.quick_stat () in
+    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let word_bytes = float_of_int (Sys.word_size / 8) in
+  header "B10: epoch_cache — one render cache per code epoch"
+    "50 mortgage sessions on one shard share the epoch's render tables: \
+     the time and allocation of a tap with no edits (saturation) and \
+     with an edit every 12 taps (interactive), and the most entries \
+     the tables held over 20,000 taps, against their bound.";
+  (* saturation *)
+  let reg, tap = fleet () in
+  let handle =
+    Option.get
+      (Live_runtime.Session.render_cache_handle
+         (Option.get (H.Registry.session reg (H.Registry.id_at reg 0))))
+  in
+  let rounds = 400 and peak = ref 0 in
+  let w0 = allocated () and t0 = H.Host_metrics.now () in
+  for _ = 1 to rounds do
+    for i = 0 to k - 1 do
+      tap i;
+      peak := max !peak (Live_core.Render_cache.size handle)
+    done
+  done;
+  let n = float_of_int (rounds * k) in
+  let sat_ns = (H.Host_metrics.now () -. t0) *. 1e9 /. n in
+  let sat_b = (allocated () -. w0) *. word_bytes /. n in
+  (* interactive *)
+  let reg, tap = fleet () in
+  for _ = 1 to 200 do
+    for i = 0 to k - 1 do
+      tap i
+    done
+  done;
+  let rng = Prng.create 4242 and taps = 1200 and version = ref 0 in
+  let busy = ref 0. and words = ref 0. in
+  for j = 1 to taps do
+    let i = Prng.int rng k in
+    let w0 = allocated () and t0 = H.Host_metrics.now () in
+    tap i;
+    busy := !busy +. (H.Host_metrics.now () -. t0);
+    words := !words +. (allocated () -. w0);
+    if j mod 12 = 0 then begin
+      version := !version lxor if j mod 24 = 0 then 1 else 2;
+      ignore (ok_machine (H.Broadcast.update reg (program !version)))
+    end
+  done;
+  let n = float_of_int taps in
+  let int_ns = !busy *. 1e9 /. n and int_b = !words *. word_bytes /. n in
+  let bound = Live_core.Render_cache.bound in
+  Printf.printf "  saturation   %s/tap %s/tap\n" (pp_time sat_ns) (pp_bytes sat_b);
+  Printf.printf "  interactive  %s/tap %s/tap\n" (pp_time int_ns) (pp_bytes int_b);
+  Printf.printf "  -> epoch tables peaked at %d entries (bound %d)\n" !peak bound;
+  [
+    { id = "b10/epoch-cache/tap-saturation"; unit_ = "ns"; value = sat_ns };
+    { id = "b10/epoch-cache/tap-saturation/alloc"; unit_ = "B/run"; value = sat_b };
+    { id = "b10/epoch-cache/tap-interactive"; unit_ = "ns"; value = int_ns };
+    { id = "b10/epoch-cache/tap-interactive/alloc"; unit_ = "B/run"; value = int_b };
+    { id = "b10/epoch-cache/entries-peak"; unit_ = "count"; value = float_of_int !peak };
+    { id = "b10/epoch-cache/entries-bound"; unit_ = "count"; value = float_of_int bound };
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* B12: the closure-compiled evaluator vs. the substitution machine    *)
 (* ------------------------------------------------------------------ *)
@@ -1112,6 +1264,26 @@ let b12 () : jentry list =
 (* B13: O(edit) broadcast — incremental vs. from-scratch UPDATE        *)
 (* ------------------------------------------------------------------ *)
 
+(** B13's and B14's cells each run their 4-edit pass {!passes} times
+    on one fleet and report the median pass, per edit: a single pass
+    swung 2x between runs of one binary. *)
+let passes = 5
+
+let edits_per_pass = 4
+
+(* [pass p] runs pass [p] (from 0); the median of its per-edit times *)
+let median_pass (pass : int -> unit) : float =
+  let times =
+    Array.init passes (fun p ->
+        let t0 = Live_host.Host_metrics.now () in
+        pass p;
+        (Live_host.Host_metrics.now () -. t0)
+        *. 1e9
+        /. float_of_int edits_per_pass)
+  in
+  Array.sort Float.compare times;
+  times.(passes / 2)
+
 (** B13 measures the O(edit) broadcast pipeline end to end: a 1-line
     structural edit of a cold definition (one [Program.with_def] on a
     global the start page never reads) broadcast to fleets of 100 /
@@ -1119,16 +1291,17 @@ let b12 () : jentry list =
     ([typecheck_mode = Scratch]: whole-program recheck, full
     recompile, wholesale cache flush, full per-session re-render) and
     once through the incremental path (diff + dirty-set recheck,
-    compile reuse, retargeted render caches).  The two fleets replay
-    the identical edit sequence and must land on byte-identical
-    digests — the speedup compares like with like. *)
+    compile reuse, the epoch's render tables retargeted once).  The
+    two fleets replay the identical edit sequence and must land on
+    byte-identical digests — the speedup compares like with like.
+    Each cell is the median of {!passes} passes. *)
 let b13 () : jentry list =
   let module H = Live_host in
   let module P = Live_core.Program in
   let fleet_sizes = [ 100; 1000; 10000 ] in
   let rows_n = 6 in
   let cold = 32 in
-  let edits = 4 in
+  let edits = edits_per_pass in
   let app =
     (Live_workloads.Synthetic.compile_exn
        (Live_workloads.Synthetic.host_app ~cold ~rows:rows_n ~version:0 ()))
@@ -1172,12 +1345,11 @@ let b13 () : jentry list =
        the first UPDATE is from-scratch in every mode; after it the
        incremental premise (old code checked) holds *)
     broadcast 1000;
-    let t0 = H.Host_metrics.now () in
-    for stamp = 1 to edits do
-      broadcast stamp
-    done;
     let per_edit_ns =
-      (H.Host_metrics.now () -. t0) *. 1e9 /. float_of_int edits
+      median_pass (fun pass ->
+          for e = 1 to edits do
+            broadcast ((pass * edits) + e)
+          done)
     in
     (per_edit_ns, H.Registry.digest reg)
   in
@@ -1236,14 +1408,14 @@ let b13 () : jentry list =
     asserted.  Both paths run the one fan-out, so the overhead ratio
     prices only the cohort draw and the per-canary checkpoints; the
     change set is still diffed, typechecked and compiled exactly
-    once. *)
+    once.  Each cell is the median of {!passes} passes. *)
 let b14 () : jentry list =
   let module H = Live_host in
   let module P = Live_core.Program in
   let fleet_sizes = [ 100; 1000; 10000 ] in
   let rows_n = 6 in
   let cold = 32 in
-  let edits = 4 in
+  let edits = edits_per_pass in
   let app =
     (Live_workloads.Synthetic.compile_exn
        (Live_workloads.Synthetic.host_app ~cold ~rows:rows_n ~version:0 ()))
@@ -1294,34 +1466,38 @@ let b14 () : jentry list =
   in
   let run_flat (k : int) : float * string =
     let reg = make k in
-    let t0 = H.Host_metrics.now () in
-    for stamp = 1 to edits do
-      match
-        H.Broadcast.update ~typecheck:H.Broadcast.Incremental reg
-          (change_set (H.Registry.program reg) ~stamp)
-      with
-      | Ok _ -> ()
-      | Error e -> failwith (Live_core.Machine.error_to_string e)
-    done;
-    ( (H.Host_metrics.now () -. t0) *. 1e9 /. float_of_int edits,
-      H.Registry.digest reg )
+    let per_edit_ns =
+      median_pass (fun pass ->
+          for e = 1 to edits do
+            let stamp = (pass * edits) + e in
+            match
+              H.Broadcast.update ~typecheck:H.Broadcast.Incremental reg
+                (change_set (H.Registry.program reg) ~stamp)
+            with
+            | Ok _ -> ()
+            | Error e -> failwith (Live_core.Machine.error_to_string e)
+          done)
+    in
+    (per_edit_ns, H.Registry.digest reg)
   in
   let run_staged (k : int) : float * string =
     let reg = make k in
-    let t0 = H.Host_metrics.now () in
-    for stamp = 1 to edits do
-      match
-        H.Rollout.begin_ ~typecheck:H.Broadcast.Incremental ~fraction:0.1
-          ~seed:(100 + stamp) reg
-          (change_set (H.Registry.program reg) ~stamp)
-      with
-      | Error e -> failwith (Live_core.Machine.error_to_string e)
-      | Ok r ->
-          ignore (H.Rollout.canary r);
-          ignore (H.Rollout.promote r)
-    done;
-    ( (H.Host_metrics.now () -. t0) *. 1e9 /. float_of_int edits,
-      H.Registry.digest reg )
+    let per_edit_ns =
+      median_pass (fun pass ->
+          for e = 1 to edits do
+            let stamp = (pass * edits) + e in
+            match
+              H.Rollout.begin_ ~typecheck:H.Broadcast.Incremental ~fraction:0.1
+                ~seed:(100 + stamp) reg
+                (change_set (H.Registry.program reg) ~stamp)
+            with
+            | Error e -> failwith (Live_core.Machine.error_to_string e)
+            | Ok r ->
+                ignore (H.Rollout.canary r);
+                ignore (H.Rollout.promote r)
+          done)
+    in
+    (per_edit_ns, H.Registry.digest reg)
   in
   List.concat_map
     (fun k ->
@@ -1680,6 +1856,7 @@ let () =
   let r9 = b9 () in
   let r10 = b10 () in
   let r10s = b10_sparse () in
+  let r10e = b10_epoch () in
   let r12 = b12 () in
   let r13 = b13 () in
   let r14 = b14 () in
@@ -1695,5 +1872,5 @@ let () =
   write_json
     (List.concat_map entries_of_rows
        [ r1; r2; r3; r4; r5; r6; r7; r8; r9; r18 ]
-    @ r10 @ r10s @ r12 @ r13 @ r14 @ r15 @ r16 @ r17 @ alloc_entries);
+    @ r10 @ r10s @ r10e @ r12 @ r13 @ r14 @ r15 @ r16 @ r17 @ alloc_entries);
   Printf.printf "\nDone. See EXPERIMENTS.md for interpretation.\n"

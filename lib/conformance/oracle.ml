@@ -350,6 +350,32 @@ let hosted ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
     stop = ignore;
   }
 
+(** {!hosted} with a twin: a second session on the same registry, so
+    on the same epochs' render tables, that receives every tap and back
+    right after the primary.  Each replays subtrees the other recorded
+    — under the cache's code and read checks, or the primary
+    diverges.  Only the primary is observed and the twin's outcomes are
+    ignored; faults and flushes reach the primary alone, so the twin's
+    state drifts from it and their renders differ in the values they
+    read. *)
+let twinned ?typecheck ?sabotage (reg : Registry.t) (id : Registry.id) :
+    (fleet, string) result =
+  let open Live_host in
+  let primary = hosted ?typecheck ?sabotage reg id in
+  match Registry.spawn reg with
+  | Error e -> Error (err_str e)
+  | Ok twin ->
+      sabotage_session sabotage (Option.get (Registry.session reg twin));
+      let sched = Scheduler.create ~policy:Scheduler.Round_robin ~batch:1 reg in
+      let deliver ev =
+        let r = primary.deliver ev in
+        (match Registry.offer reg twin ev with
+        | Backpressure.Accepted -> ignore (Scheduler.tick sched)
+        | Backpressure.Rejected | Backpressure.Dropped_oldest -> ());
+        r
+      in
+      Ok { primary with deliver }
+
 (** The networked host's persistence path, stressed to the maximum: a
     hosted fleet where every step is followed by a full detach/resume
     cycle through {!Live_net.Snapshot}.  Capture the session, print the
@@ -696,11 +722,10 @@ let table :
     | Error e -> Error (err_str e)
     | Ok s -> Ok (of_fleet ~width ~name (plain ?sabotage s))
   in
-  let host ?typecheck ?(cache = false) () ~name ~width sabotage boot =
+  let host ~name ~width sabotage boot =
     Result.map
-      (fun (reg, id) ->
-        of_fleet ~width ~name (hosted ?typecheck ?sabotage reg id))
-      (spawn (host_config ~width ~cache) boot)
+      (fun (reg, id) -> of_fleet ~width ~name (hosted ?sabotage reg id))
+      (spawn (host_config ~width ~cache:false) boot)
   in
   [
     ("machine", fun ~name:_ ~width _ boot -> machine_config ~width boot);
@@ -710,12 +735,18 @@ let table :
     ("compiled", session ~evaluator:Machine.Compiled ());
     ("cached", session ~cache:true ());
     ("incremental", session ~incremental:true ());
-    ("host", host ());
-    (* the O(edit) broadcast pipeline: render cache retargeted (not
-       flushed) across updates, and every UPDATE typechecked by both
-       the scratch and the incremental checker — a verdict
-       disagreement surfaces as a status divergence *)
-    ("host-incr", host ~cache:true ~typecheck:Broadcast.Cross_check ());
+    ("host", host);
+    (* the O(edit) broadcast pipeline: the epoch's render tables
+       retargeted (not flushed) across updates and shared with a twin
+       session, and every UPDATE typechecked by both the scratch and
+       the incremental checker — a verdict disagreement surfaces as a
+       status divergence *)
+    ( "host-incr",
+      fun ~name ~width sabotage boot ->
+        Result.bind (spawn (host_config ~width ~cache:true) boot)
+          (fun (reg, id) ->
+            Result.map (of_fleet ~width ~name)
+              (twinned ~typecheck:Broadcast.Cross_check ?sabotage reg id)) );
     ( "host-txn",
       fun ~name ~width sabotage boot ->
         Result.map

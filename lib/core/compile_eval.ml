@@ -41,12 +41,14 @@ module SS = Ast.StringSet
 
 let stuck fmt = Fmt.kstr (fun s -> raise (Eval.Stuck s)) fmt
 
-(* Subtree memoization sites are numbered by one global atomic counter
-   so that sites from different compilations (racing [get] calls,
-   successive programs) can never collide in a session's cache. *)
-let site_counter = Atomic.make 0
+(* Subtree memoization sites are numbered by one global counter so that
+   sites from different compilations (successive programs) can never
+   collide in a render cache. *)
+let site_counter = ref 0
 
-let fresh_site () = Atomic.fetch_and_add site_counter 1
+let fresh_site () =
+  incr site_counter;
+  !site_counter
 
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
@@ -414,13 +416,15 @@ and eval_boxed_plain (rt : rt) (parent : Boxcontent.item list ref)
 and eval_boxed_memo (rt : rt) (parent : Boxcontent.item list ref)
     (memo : Render_cache.t) ~(site : int) ~(args : Ast.value list)
     (ci : code) (id : Srcid.t option) (env : env) : Ast.value =
-  match
-    Render_cache.find_csubtree memo ~site ~args ~prog:rt.prog ~store:rt.store
-  with
+  let key = Render_cache.site_key ~site ~args in
+  match Render_cache.find memo key ~prog:rt.prog ~store:rt.store with
   | Some entry ->
-      parent := entry.Render_cache.citem :: !parent;
-      record_reads rt entry.Render_cache.creads;
-      entry.Render_cache.cvalue
+      parent := entry.Render_cache.item :: !parent;
+      let globals = entry.Render_cache.globals in
+      for j = 0 to Array.length globals - 1 do
+        record_read rt globals.(j) entry.Render_cache.vals.(j)
+      done;
+      entry.Render_cache.value
   | None ->
       let scope : readscope = Hashtbl.create 8 in
       (match rt.trace with
@@ -436,7 +440,7 @@ and eval_boxed_memo (rt : rt) (parent : Boxcontent.item list ref)
       let item = Boxcontent.Box (id, List.rev !acc) in
       parent := item :: !parent;
       let reads = scope_reads scope in
-      Render_cache.add_csubtree memo ~site ~args ~value:v ~item ~reads;
+      Render_cache.add memo key ~prog:rt.prog ~value:v ~item ~reads;
       record_reads rt reads;
       v
 
@@ -502,9 +506,7 @@ let compile (prog : Program.t) : t =
   let ct = empty_ct prog in
   (* Eagerly compile every function and page body.  Recursion (and
      mutual recursion) works because compiled [Fn] references resolve
-     through the tables at run time, after all of them are filled.
-     Eager — not lazy — because [Lazy.t] is not safe to force from
-     multiple domains, and compiled programs are shared fleet-wide. *)
+     through the tables at run time, after all of them are filled. *)
   List.iter
     (fun (f, _, body) -> compile_func ct f body)
     (Program.functions prog);
@@ -532,7 +534,7 @@ let compile (prog : Program.t) : t =
     (globally unique, so no collision with fresh ones) — their cached
     subtrees stay valid; recompiled definitions get fresh ids, so
     their stale cache entries become unreachable (and
-    {!Render_cache.retarget} evicts them by site liveness). *)
+    {!Render_cache.retarget_tables} drops them by site liveness). *)
 let compile_incremental ~(diff : Program_diff.t) (old_ct : t)
     (prog : Program.t) : t =
   let ct = empty_ct prog in
@@ -564,105 +566,45 @@ let compile_incremental ~(diff : Program_diff.t) (old_ct : t)
     (Program.pages prog);
   ct
 
-(* The compile cache: a small association list keyed by physical
-   program identity, published by CAS so sessions booting on
-   concurrent domains never tear it.  Losing a race just means one
-   redundant compilation — compiled code is deterministic, and site
-   ids are globally unique either way. *)
-let cache_limit = 8
+(* The compile cache, keyed by program identity through an ephemeron:
+   a compilation lives exactly as long as its program does — in
+   particular for as long as a registry epoch or a session holds it —
+   and is never compiled twice while it lives, so its subtree site ids
+   stay valid for every render cache that recorded them. *)
+module Compiled = Ephemeron.K1.Make (struct
+  type t = Program.t
 
-let cache : (Program.t * t) list Atomic.t = Atomic.make []
+  let equal = ( == )
+  let hash = Program.uid
+end)
 
-let cache_size () = List.length (Atomic.get cache)
+let cache : t Compiled.t = Compiled.create 16
 
-let find_cached (prog : Program.t) (entries : (Program.t * t) list) :
-    t option =
-  let rec go = function
-    | [] -> None
-    | (p, c) :: tl -> if p == prog then Some c else go tl
-  in
-  go entries
+let cache_size () = (Compiled.stats_alive cache).Hashtbl.num_bindings
 
 let publish (prog : Program.t) (c : t) : t =
-  let rec loop () =
-    let old = Atomic.get cache in
-    match find_cached prog old with
-    | Some c' -> c' (* another domain won the race; use its result *)
-    | None ->
-        let trimmed =
-          if List.length old >= cache_limit then
-            List.filteri (fun i _ -> i < cache_limit - 1) old
-          else old
-        in
-        if Atomic.compare_and_set cache old ((prog, c) :: trimmed) then c
-        else loop ()
-  in
-  loop ()
-
-(* Epoch pins: during a staged rollout the registry keeps two code
-   epochs live at once, and both compilations must stay resident for
-   the whole rollout window — the LRU cache above would happily evict
-   the base epoch under unrelated compile traffic, and a re-compile
-   issues fresh site ids, orphaning every csubtree entry the canary
-   cohort's render caches hold.  A pin is an eviction-proof entry
-   keyed by epoch id; [get]/[get_incremental] consult pins first, so
-   all sessions of an epoch share one physical compilation. *)
-
-let epoch_pins : (int * (Program.t * t)) list Atomic.t = Atomic.make []
-
-let find_pinned (prog : Program.t) : t option =
-  let rec go = function
-    | [] -> None
-    | (_, (p, c)) :: tl -> if p == prog then Some c else go tl
-  in
-  go (Atomic.get epoch_pins)
+  Compiled.replace cache prog c;
+  c
 
 let get (prog : Program.t) : t =
-  match find_pinned prog with
+  match Compiled.find_opt cache prog with
   | Some c -> c
-  | None -> (
-      match find_cached prog (Atomic.get cache) with
-      | Some c -> c
-      | None -> publish prog (compile prog))
+  | None -> publish prog (compile prog)
+
+let derive ~(diff : Program_diff.t) (old_ct : t) (prog : Program.t) : t =
+  match Compiled.find_opt cache prog with
+  | Some c -> c
+  | None ->
+      publish prog
+        (if old_ct.cprog == Program_diff.old_program diff
+            && Program_diff.new_program diff == prog
+         then compile_incremental ~diff old_ct prog
+         else compile prog)
 
 let get_incremental ~(diff : Program_diff.t) (prog : Program.t) : t =
-  match find_pinned prog with
-  | Some c -> c
-  | None -> (
-      match find_cached prog (Atomic.get cache) with
-      | Some c -> c
-      | None ->
-          let lookup p =
-            match find_pinned p with
-            | Some c -> Some c
-            | None -> find_cached p (Atomic.get cache)
-          in
-          let c =
-            match lookup (Program_diff.old_program diff) with
-            | Some old_ct when Program_diff.new_program diff == prog ->
-                compile_incremental ~diff old_ct prog
-            | _ -> compile prog (* old compilation evicted: start over *)
-          in
-          publish prog c)
-
-let rec pin_epoch ~(epoch : int) ?(diff : Program_diff.t option)
-    (prog : Program.t) : unit =
-  let c =
-    match diff with
-    | Some d -> get_incremental ~diff:d prog
-    | None -> get prog
-  in
-  let old = Atomic.get epoch_pins in
-  let cleaned = List.remove_assoc epoch old in
-  if not (Atomic.compare_and_set epoch_pins old ((epoch, (prog, c)) :: cleaned))
-  then pin_epoch ~epoch ?diff prog
-
-let rec unpin_epoch ~(epoch : int) : unit =
-  let old = Atomic.get epoch_pins in
-  if List.mem_assoc epoch old then
-    let cleaned = List.remove_assoc epoch old in
-    if not (Atomic.compare_and_set epoch_pins old cleaned) then
-      unpin_epoch ~epoch
+  match Compiled.find_opt cache (Program_diff.old_program diff) with
+  | Some old_ct -> derive ~diff old_ct prog
+  | None -> get prog (* the old program is gone: start over *)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)

@@ -24,20 +24,19 @@
 
     Compiled code is {b immutable} after {!get} returns: the per-program
     tables are populated during compilation and only read afterwards,
-    so one compiled program is safely shared read-only across domains.
-    {!get} memoizes by physical program identity in a lock-free
-    (CAS-published) cache; a racing duplicate compilation is benign
-    because compilation is deterministic up to cache-private subtree
-    site ids. *)
+    so one compiled program is shared by every session running it.
+    {!get} memoizes by physical program identity through an ephemeron:
+    a compilation lives exactly as long as its program, so a program
+    that is still running is never compiled twice and its subtree site
+    ids stay valid in every render cache that recorded them. *)
 
 type t
-(** A program compiled to closures.  Immutable; safe to share across
-    domains. *)
+(** A program compiled to closures.  Immutable. *)
 
 val get : Program.t -> t
 (** Compile, or return the cached compilation of this exact (physically
-    identical) program.  The broadcast path calls this once per UPDATE
-    so the whole fleet shares one compilation. *)
+    identical) program.  The registry compiles each code epoch once, so
+    the whole fleet shares one compilation. *)
 
 val get_incremental : diff:Program_diff.t -> Program.t -> t
 (** Like {!get}, but when the diff's old program is still in the
@@ -48,30 +47,13 @@ val get_incremental : diff:Program_diff.t -> Program.t -> t
     {!Render_cache} compiled-subtree entries for clean code stay valid
     across the swap (see {!Render_cache.retarget} and {!site_live});
     recompiled definitions get fresh ids, making their stale entries
-    unreachable.  Falls back to a full {!compile} when the old
-    compilation has been evicted.  The result is published in the same
-    cache, so subsequent {!get} calls for the new program hit. *)
+    unreachable.  Falls back to a full {!compile} when the old program
+    is gone.  The result is published in the same cache, so subsequent
+    {!get} calls for the new program hit. *)
 
-(** {1 Epoch pins (edit transactions)}
-
-    While an edit transaction is open ({!Live_host.Broadcast.prepare})
-    the registry keeps two code epochs live at once; both compilations
-    must stay resident until it resolves.  The LRU compile cache could
-    evict the base epoch under unrelated compile traffic, and a
-    re-compile issues fresh subtree site ids — orphaning the canary
-    cohort's [csubtree] render-cache entries.  A pin is an eviction-proof cache
-    entry keyed by an epoch id; {!get} and {!get_incremental} consult
-    pins first, so every session of an epoch shares one physical
-    compilation. *)
-
-val pin_epoch : epoch:int -> ?diff:Program_diff.t -> Program.t -> unit
-(** Compile [prog] (incrementally when [diff] spans old→[prog] and the
-    old compilation is resident) and pin the result under [epoch],
-    replacing any previous pin for that epoch. *)
-
-val unpin_epoch : epoch:int -> unit
-(** Drop the pin for [epoch] (idempotent).  The compilation may still
-    live in the LRU cache; it just becomes evictable again. *)
+val derive : diff:Program_diff.t -> t -> Program.t -> t
+(** {!get_incremental} from a given compilation of the diff's old
+    program (a registry epoch's); a full compile if it is not one. *)
 
 val site_live : t -> int -> bool
 (** Whether a [boxed] memoization site id belongs to this compilation
@@ -135,8 +117,8 @@ val run_page_render_traced :
 (** {!run_page_render} with read-set tracing and (optionally) [boxed]
     subtree memoization: compiled subtree sites are keyed by (site,
     captured environment values) in [memo] — see
-    {!Render_cache.find_csubtree} — no expression reification needed
-    on the hot path. *)
+    {!Render_cache.site_key} — no expression reification needed on the
+    hot path. *)
 
 (** {1 Arbitrary expressions}
 
@@ -170,4 +152,4 @@ val eval_render_traced :
 (** {1 Introspection} *)
 
 val cache_size : unit -> int
-(** Number of programs currently in the compile cache (tests). *)
+(** Number of live programs in the compile cache (tests). *)

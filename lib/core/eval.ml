@@ -372,12 +372,13 @@ and eval_boxed_memo (mode : Eff.t) (c : ctx) (parent : boxacc)
     (memo : Render_cache.t) (id : Srcid.t option) (inner : Ast.expr) :
     Ast.value =
   let key = Render_cache.subtree_key id inner in
-  match
-    Render_cache.find_subtree memo key ~expr:inner ~prog:c.prog ~store:c.store
-  with
+  match Render_cache.find memo key ~prog:c.prog ~store:c.store with
   | Some entry ->
       parent := entry.Render_cache.item :: !parent;
-      record_reads c entry.Render_cache.reads;
+      let globals = entry.Render_cache.globals in
+      for j = 0 to Array.length globals - 1 do
+        record_read c globals.(j) entry.Render_cache.vals.(j)
+      done;
       entry.Render_cache.value
   | None ->
       let scope : readscope = Hashtbl.create 8 in
@@ -392,7 +393,7 @@ and eval_boxed_memo (mode : Eff.t) (c : ctx) (parent : boxacc)
       let item = Boxcontent.Box (id, List.rev !acc) in
       parent := item :: !parent;
       let reads = scope_reads scope in
-      Render_cache.add_subtree memo key ~expr:inner ~value:v ~item ~reads;
+      Render_cache.add memo key ~prog:c.prog ~value:v ~item ~reads;
       record_reads c reads;
       v
 

@@ -23,7 +23,16 @@ type def =
       render : Ast.expr;  (** typed [tau -r-> ()] by T-C-PAGE *)
     }
 
-type t = { defs : def list; index : (string, def) Hashtbl.t }
+type t = {
+  defs : def list;
+  index : (string, def) Hashtbl.t;
+  uid : int;
+      (** distinct for every value {!of_defs} builds: programs are
+          compared by physical identity, and this is a hash of it that
+          survives the moving GC *)
+}
+
+let next_uid = ref 0
 
 let def_name = function
   | Global { name; _ } | Func { name; _ } | Page { name; _ } -> name
@@ -33,11 +42,13 @@ let of_defs (defs : def list) : t =
   (* Later definitions shadow earlier ones for lookup purposes; the
      well-formedness check rejects duplicates anyway. *)
   List.iter (fun d -> Hashtbl.replace index (def_name d) d) defs;
-  { defs; index }
+  incr next_uid;
+  { defs; index; uid = !next_uid }
 
 let empty = of_defs []
 
 let defs t = t.defs
+let uid t = t.uid
 
 let find (t : t) (name : string) : def option = Hashtbl.find_opt t.index name
 

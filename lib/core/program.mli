@@ -18,6 +18,12 @@ type t
 val of_defs : def list -> t
 val empty : t
 val defs : t -> def list
+
+val uid : t -> int
+(** A tag distinct for every program value built, so a hash of its
+    physical identity: two programs with the same definitions built
+    twice get different tags.  Keys the compile cache. *)
+
 val def_name : def -> string
 
 val find : t -> string -> def option

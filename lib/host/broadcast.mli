@@ -23,10 +23,12 @@
     The whole pipeline is O(edit), not O(program × fleet): the edit is
     {e diffed} against the current program ({!Live_core.Program_diff}),
     the typecheck re-derives only the recheck set
-    ({!Live_core.Machine.check_program_incremental}), the shared
-    compilation reuses every transitively-clean definition
-    ({!Live_core.Compile_eval.get_incremental}), and each session's
-    fix-up and render-cache invalidation are scoped to the dirty set
+    ({!Live_core.Machine.check_program_incremental}), the target
+    epoch's compilation reuses every transitively-clean definition
+    ({!Live_core.Compile_eval.derive}) and its render tables keep every
+    clean entry, built once for the fleet
+    ({!Live_core.Render_cache.retarget_tables}), and each session's
+    fix-up and display-entry invalidation are scoped to the dirty set
     (the [?diff] path of {!Live_runtime.Session.update}).  All of it is
     observationally transparent — the conformance oracle's
     ["host-incr"] configuration and the [Cross_check] mode below
@@ -62,7 +64,8 @@ type report = {
   fanout_ns : float;  (** elapsed time of the commit *)
   typecheck_ns : float;  (** the typecheck phase (whichever mode ran) *)
   diff_ns : float;  (** computing the program diff *)
-  compile_ns : float;  (** priming the shared compilation *)
+  compile_ns : float;
+      (** making the target epoch: its compilation and render tables *)
   dirty_defs : int;  (** semantic dirty-set size (scoped invalidation) *)
   recheck_defs : int;  (** typecheck recheck-set size *)
   incremental : bool;
@@ -83,18 +86,19 @@ val prepare :
   Live_core.Program.t ->
   (txn, Live_core.Machine.error) result
 (** Diff the edit against the installed program, discharge [C' |- C']
-    once ([typecheck] defaults to [Incremental]), open the target epoch
-    ({!Registry.open_rollout}) and, under the [Compiled] evaluator,
-    compile it and pin both epochs' compilations
-    ({!Live_core.Compile_eval.pin_epoch}).  The per-phase times land in
+    once ([typecheck] defaults to [Incremental]) and open the target
+    epoch ({!Registry.open_rollout}: its compilation and its render
+    tables, derived from the installed epoch's when the incremental
+    premise held, timed as [compile_ns]).  The per-phase times land in
     the registry's {!Host_metrics}.  [Error] means nothing happened,
     counted in [updates_rejected]: the typecheck refused the edit, or
     a transaction is already open ([Not_enabled]; at most two epochs
     are ever live). *)
 
 val migrate : txn -> Registry.id -> session_outcome option
-(** Move one session to the target epoch: its UPDATE transition
-    against the checked code, then its epoch pin whatever the outcome.
+(** Move one session to the target epoch: its epoch pin (so its
+    render cache uses the target's tables), then its UPDATE transition
+    against the checked code.
     [None] for an unknown id.
     @raise Invalid_argument if the transaction is resolved. *)
 

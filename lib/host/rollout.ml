@@ -95,7 +95,11 @@ let rollback (t : t) : (Registry.id * Machine.error) list =
       (fun (id, cp) ->
         match Registry.session t.reg id with
         | None -> [] (* killed mid-window: nothing to rewind *)
-        | Some s -> List.map (fun e -> (id, e)) (Session.rewind s cp))
+        | Some s ->
+            (* back on the base epoch's tables before the replay
+               renders *)
+            Registry.pin_session t.reg id (Broadcast.base_epoch t.txn);
+            List.map (fun e -> (id, e)) (Session.rewind s cp))
       (List.rev t.checkpoints)
   in
   t.checkpoints <- [];

@@ -18,6 +18,7 @@ val create :
   ?fuel:int ->
   ?incremental:bool ->
   ?cache:bool ->
+  ?tables:Live_core.Render_cache.tables ->
   ?evaluator:Live_core.Machine.evaluator ->
   Live_core.Program.t ->
   (t, Live_core.Machine.error) result
@@ -27,7 +28,9 @@ val create :
     incremental render pipeline: dependency-tracked RENDER memoization
     ({!Live_core.Render_cache}), layout reuse for revalidated
     displays, and damage-tracked repainting — also observationally
-    transparent (see [test/test_render_cache.ml]).  [evaluator]
+    transparent (see [test/test_render_cache.ml]).  Its subtree
+    tables are [tables], shared with every session on a registry's
+    code epoch, or else the session's own.  [evaluator]
     selects the expression engine (default
     {!Live_core.Machine.Compiled}: programs compiled once to closures;
     byte-identical to substitution, see [test/test_compile_eval.ml]
@@ -151,8 +154,10 @@ val restore :
 
 val flush_caches : t -> unit
 (** Drop every warm incremental structure (render memoization cache,
-    previous frame, memoized layout).  Observationally invisible — the
-    fuzzer injects it mid-trace to stress the cache's cold paths. *)
+    previous frame, memoized layout) — the cache's subtree tables are
+    its epoch's, so every session on the epoch loses them.
+    Observationally invisible — the fuzzer injects it mid-trace to
+    stress the cache's cold paths. *)
 
 val damage_stats : t -> damage_totals option
 (** Cumulative damage-painting counters, if the cache is enabled. *)
@@ -186,10 +191,12 @@ val rewind : t -> checkpoint -> Live_core.Machine.error list
 val journalling : t -> bool
 (** Whether a checkpoint is currently armed. *)
 
-(** {1 Epoch pin (staged rollouts)} *)
+(** {1 Epoch pin} *)
 
 val epoch : t -> int
 (** The code epoch this session is pinned to (0 at creation); managed
-    by {!Live_host.Registry} during staged rollouts. *)
+    by {!Live_host.Registry}. *)
 
-val set_epoch : t -> int -> unit
+val pin : t -> epoch:int -> Live_core.Render_cache.tables option -> unit
+(** Pin the session to a code epoch and, if it runs the render cache,
+    point the cache at that epoch's subtree tables. *)

@@ -822,6 +822,90 @@ let prop_fleet_of_one_agrees_with_machine =
           QCheck2.Test.fail_reportf "diverged: %a" Oracle.pp_divergence d
       | Oracle.Boot_failed m -> QCheck2.Test.fail_reportf "boot failed: %s" m)
 
+(* -- one render cache per code epoch ---------------------------------- *)
+
+let cached_config ?(evaluator = Live_core.Machine.Compiled) () =
+  { H.Registry.default_config with H.Registry.width; cache = true; evaluator }
+
+let spawn_exn reg =
+  ok_machine "spawn" (H.Registry.spawn reg)
+
+let session_exn reg id = Option.get (H.Registry.session reg id)
+
+let rc_stats (s : Session.t) : Live_core.Render_cache.stats =
+  Option.get (Session.render_cache_stats s)
+
+(** Sessions on one epoch share its subtree tables: a fresh session's
+    boot render finds every [boxed] subtree the first one recorded. *)
+let test_second_boot_replays_the_epoch () =
+  let reg = H.Registry.create ~config:(cached_config ()) (app 0) in
+  let a = session_exn reg (spawn_exn reg) in
+  let b = session_exn reg (spawn_exn reg) in
+  let sa = rc_stats a and sb = rc_stats b in
+  Alcotest.(check bool)
+    (Printf.sprintf "the first boot evaluates (%d misses)" sa.misses)
+    true (sa.misses > 0);
+  Alcotest.(check int)
+    "the second boot evaluates no boxed subtree" 0 sb.misses;
+  Alcotest.(check bool) "it replays instead" true (sb.hits > 0);
+  Alcotest.(check string) "same screen" (Session.screenshot a)
+    (Session.screenshot b)
+
+(* the label is a function, so the [boxed] subexpression that calls it
+   is the same expression under both versions *)
+let labelled (v : int) : Live_core.Program.t =
+  (ok_compile
+     (Printf.sprintf
+        "global n : number = 0
+         fun label(x : number) : string {
+        \  return \"v%d \" ++ str(x)
+         }
+         page start()
+         init { }
+         render {
+        \  boxed { post label(n) on tapped { n := n + 1 } }
+         }
+"
+        v))
+    .Live_surface.Compile.core
+
+(* Session A renders n = 1 under version 1; an UPDATE installs version
+   2; then session B reaches n = 1 for the first time.  Returns B's
+   screen, an uncached reference's, and B's hits on that tap.  The
+   substitution evaluator keys subtrees by expression, which the edit
+   leaves unchanged, so only the code check stands between B and A's
+   stale entry. *)
+let cross_session_tap ~(sabotage : bool) : string * string * int =
+  let reg =
+    H.Registry.create
+      ~config:(cached_config ~evaluator:Live_core.Machine.Subst ())
+      (labelled 1)
+  in
+  let a = session_exn reg (spawn_exn reg) in
+  let b = session_exn reg (spawn_exn reg) in
+  if sabotage then
+    Live_core.Render_cache.set_sabotage_no_flush
+      (Option.get (Session.render_cache_handle b))
+      true;
+  ignore (ok_machine "A taps" (Session.tap_first a));
+  ignore (ok_machine "update" (H.Broadcast.update reg (labelled 2)));
+  let hits0 = (rc_stats b).hits in
+  ignore (ok_machine "B taps" (Session.tap_first b));
+  let reference = ok_machine "reference" (Session.create ~width (labelled 1)) in
+  ignore (ok_machine "reference update" (Session.update reference (labelled 2)));
+  ignore (ok_machine "reference taps" (Session.tap_first reference));
+  (Session.screenshot b, Session.screenshot reference, (rc_stats b).hits - hits0)
+
+let test_cross_session_sabotage_bites () =
+  let b, reference, hits = cross_session_tap ~sabotage:true in
+  Alcotest.(check bool) "B replayed a subtree it never rendered" true (hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "B diverges from the uncached reference:\n%s\nvs\n%s" b
+       reference)
+    false (String.equal b reference);
+  let b, reference, _ = cross_session_tap ~sabotage:false in
+  Alcotest.(check string) "without the sabotage B agrees" reference b
+
 let suite =
   [
     case "broadcast UPDATE ≡ independent per-session updates"
@@ -847,5 +931,9 @@ let suite =
     case "histogram union is quantile-safe" test_histogram_union;
     case "the metrics dump names its numbers" test_metrics_dump;
     case "host rides the differential fuzzer" test_host_is_an_oracle_config;
+    case "a second session boots from the epoch's tables"
+      test_second_boot_replays_the_epoch;
+    case "the cache sabotage bites across sessions"
+      test_cross_session_sabotage_bites;
     prop_fleet_of_one_agrees_with_machine;
   ]
