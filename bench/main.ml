@@ -15,8 +15,9 @@
     - B3 [live_vs_restart]  — edit-to-feedback latency of the live
       UPDATE transition vs. the conventional restart-and-replay cycle
       (Sec. 2's archery-vs-hose contrast), vs. trace length;
-    - B4 [incremental]      — full re-layout vs. the box-tree-reuse
-      cache (Sec. 5's proposed optimization), vs. page size;
+    - B4 [incremental]      — full re-layout vs. previous-frame layout
+      reuse after a one-row change (Sec. 5's proposed optimization),
+      vs. page size;
     - B5 [typecheck]        — type-and-effect checking throughput vs.
       program size;
     - B6 [event_throughput] — steady-state TAP -> THUNK -> RENDER
@@ -342,7 +343,8 @@ let b3 () =
   let tests =
     List.concat_map
       (fun t ->
-        (* state after T taps, and the recorded trace *)
+        (* state after T taps, and the trace the restart baseline
+           would have recorded of them *)
         let session =
           ok_machine
             (Live_runtime.Session.create ~width:24
@@ -352,7 +354,9 @@ let b3 () =
           ignore (ok_machine (Live_runtime.Session.tap session ~x:2 ~y:1))
         done;
         let st = Live_runtime.Session.state session in
-        let trace = Live_runtime.Session.trace session in
+        let trace =
+          List.init t (fun _ -> Live_runtime.Trace.Tap { x = 2; y = 1 })
+        in
         [
           Test.make
             ~name:(Printf.sprintf "live-update/trace=%03d" t)
@@ -408,35 +412,33 @@ let b4 () =
       (fun n ->
         let core =
           (Live_workloads.Synthetic.compile_exn
-             (Live_workloads.Synthetic.flat_rows ~n))
+             (Live_workloads.Synthetic.independent_rows ~n))
             .Live_surface.Compile.core
         in
-        let st = ok_machine (Live_core.Machine.boot core) in
-        let display st =
-          match st.Live_core.State.display with
-          | Live_core.State.Shown b -> b
-          | Live_core.State.Invalid -> failwith "no display"
+        (* two frames of a cached session, one tap apart: the render
+           cache re-renders the tapped row and splices every other row
+           as the very same value *)
+        let s =
+          ok_machine (Live_runtime.Session.create ~width:48 ~cache:true core)
         in
-        let d0 = display st in
-        (* a tap moved the selection highlight by one row *)
-        let st1 =
-          let handler = List.nth (Live_core.Boxcontent.handlers d0) 1 in
-          ok_machine
-            (Result.bind
-               (Live_core.Machine.tap st ~handler)
-               Live_core.Machine.run_to_stable)
-        in
-        let d1 = display st1 in
-        let warm = Live_ui.Layout.create_cache () in
-        ignore (Live_ui.Layout.layout_page ~cache:warm ~width:48 d0);
+        let display () = Option.get (Live_runtime.Session.display_content s) in
+        let d0 = display () in
+        ignore (ok_machine (Live_runtime.Session.tap s ~x:2 ~y:7));
+        let d1 = display () in
+        (* each run lays out the other frame against the previous one *)
+        let reuse = Live_ui.Layout.create_reuse () in
+        ignore (Live_ui.Layout.layout_page ~reuse ~width:48 d0);
+        let next = ref d1 in
         [
           Test.make
-            ~name:(Printf.sprintf "full-layout/rows=%03d" n)
+            ~name:(Printf.sprintf "full-relayout/rows=%03d" n)
             (Staged.stage (fun () -> Live_ui.Layout.layout_page ~width:48 d1));
           Test.make
-            ~name:(Printf.sprintf "cached-layout/rows=%03d" n)
+            ~name:(Printf.sprintf "reuse-layout/rows=%03d" n)
             (Staged.stage (fun () ->
-                 Live_ui.Layout.layout_page ~cache:warm ~width:48 d1));
+                 let d = !next in
+                 next := if d == d0 then d1 else d0;
+                 Live_ui.Layout.layout_page ~reuse ~width:48 d));
         ])
       sizes
   in
@@ -444,14 +446,15 @@ let b4 () =
     run_experiment "B4: incremental_rerender — reuse of unchanged subtrees"
       "Claim (Sec. 5): 'a simple optimization where we can reuse box tree \
        elements that have not changed' pays off when few boxes change \
-       between frames (here: a selection highlight moved by one row)."
+       between frames (here: a tap changed one row; every other row's \
+       layout node is reused from the previous frame)."
       (Test.make_grouped ~name:"b4" tests)
   in
   List.iter
     (fun n ->
-      let full = find rows (Printf.sprintf "b4/full-layout/rows=%03d" n) in
-      let inc = find rows (Printf.sprintf "b4/cached-layout/rows=%03d" n) in
-      Printf.printf "  -> rows=%3d: full/cached = %.1fx\n" n (full /. inc))
+      let full = find rows (Printf.sprintf "b4/full-relayout/rows=%03d" n) in
+      let reuse = find rows (Printf.sprintf "b4/reuse-layout/rows=%03d" n) in
+      Printf.printf "  -> rows=%3d: full/reuse = %.1fx\n" n (full /. reuse))
     sizes;
   rows
 
@@ -571,37 +574,6 @@ let b7 () =
 
 let b8 () =
   let sizes = [ 100; 400 ] in
-  let layout_tests =
-    List.concat_map
-      (fun n ->
-        let core =
-          (Live_workloads.Synthetic.compile_exn
-             (Live_workloads.Synthetic.flat_rows ~n))
-            .Live_surface.Compile.core
-        in
-        let session incremental =
-          ok_machine (Live_runtime.Session.create ~width:48 ~incremental core)
-        in
-        let plain = session false in
-        let cached = session true in
-        (* warm both *)
-        ignore (Live_runtime.Session.screenshot plain);
-        ignore (Live_runtime.Session.screenshot cached);
-        let cycle s =
-          (* one full user interaction: tap a row, restabilise, repaint *)
-          ignore (ok_machine (Live_runtime.Session.tap s ~x:2 ~y:7));
-          ignore (Live_runtime.Session.screenshot s)
-        in
-        [
-          Test.make
-            ~name:(Printf.sprintf "session-plain/rows=%03d" n)
-            (Staged.stage (fun () -> cycle plain));
-          Test.make
-            ~name:(Printf.sprintf "session-incremental/rows=%03d" n)
-            (Staged.stage (fun () -> cycle cached));
-        ])
-      sizes
-  in
   (* the render memoization cache (dependency-tracked; see
      Render_cache): (a) re-render with an unchanged store — the
      whole-display fast path revalidates without evaluating; (b) the
@@ -708,22 +680,14 @@ let b8 () =
   let rows =
     run_experiment
       "B8: session ablation — the caches in the full interaction loop"
-      "End-to-end effect of the incremental pipeline: the Sec. 5 layout \
-       cache on a whole interaction; the dependency-tracked render cache \
-       on an unchanged-store re-render (revalidation, no evaluation) and \
-       on the tap loop (one dirty row re-evaluated, the rest spliced)."
+      "End-to-end effect of the incremental pipeline: the dependency-tracked \
+       render cache on an unchanged-store re-render (revalidation, no \
+       evaluation) and on the tap loop (one dirty row re-evaluated, the \
+       rest spliced, laid out against the previous frame and repainted \
+       only where damaged)."
       (Test.make_grouped ~name:"b8"
-         (layout_tests @ rerender_tests @ tap_tests @ mortgage_tests))
+         (rerender_tests @ tap_tests @ mortgage_tests))
   in
-  List.iter
-    (fun n ->
-      let plain = find rows (Printf.sprintf "b8/session-plain/rows=%03d" n) in
-      let inc =
-        find rows (Printf.sprintf "b8/session-incremental/rows=%03d" n)
-      in
-      Printf.printf "  -> rows=%3d: plain/incremental = %.2fx\n" n
-        (plain /. inc))
-    sizes;
   List.iter
     (fun n ->
       let plain =

@@ -407,7 +407,9 @@ let recycled (cfg : Registry.config) ((reg, id) : Registry.t * Registry.id) :
     if not (String.equal (Snapshot.to_string snap) text) then
       Error "snapshot re-print not byte-identical"
     else
-      let* s = Result.map_error (( ^ ) "restore: ") (Snapshot.restore snap) in
+      let* s =
+        Result.map_error (( ^ ) "restore: ") (Snapshot.restore cfg snap)
+      in
       let reg = Registry.create ~config:cfg (Session.state s).State.code in
       cur := hosted reg (Registry.adopt reg s);
       Ok ()
@@ -716,9 +718,8 @@ let table :
       Program.t ->
       (config, string) result))
     list =
-  let session ?evaluator ?(incremental = false) ?(cache = false) () ~name
-      ~width sabotage boot =
-    match Session.create ~width ~incremental ~cache ?evaluator boot with
+  let session ?evaluator ?(cache = false) () ~name ~width sabotage boot =
+    match Session.create ~width ~cache ?evaluator boot with
     | Error e -> Error (err_str e)
     | Ok s -> Ok (of_fleet ~width ~name (plain ?sabotage s))
   in
@@ -734,7 +735,6 @@ let table :
     ("session", session ~evaluator:Machine.Subst ());
     ("compiled", session ~evaluator:Machine.Compiled ());
     ("cached", session ~cache:true ());
-    ("incremental", session ~incremental:true ());
     ("host", host);
     (* the O(edit) broadcast pipeline: the epoch's render tables
        retargeted (not flushed) across updates and shared with a twin

@@ -35,7 +35,6 @@
     session        with_txn (plain Session)                 substitution engine
     compiled       with_txn (plain Session)                 compiled engine
     cached         with_txn (plain Session, render cache)
-    incremental    with_txn (plain Session, Sec. 5 layout cache)
     host           with_txn (hosted, Scheduler)
     host-incr      with_txn (hosted, Scheduler, render cache, Cross_check)
     host-txn       with_rollout (hosted, Scheduler, render cache, Cross_check)

@@ -191,30 +191,6 @@ let rec depth (b : t) : int =
       | Leaf _ | Attr _ -> d)
     0 b
 
-(** Structural hash, used by the incremental-rendering cache:
-    identical subtrees get identical hashes.  [Hashtbl.hash]'s default
-    traversal bound truncates deep trees (different amortization rows
-    would collide), so this walks the whole structure; handler lambdas
-    are hashed with a widened bound.  The cache still verifies
-    {!equal} on every hit, so a residual collision costs time, never
-    correctness. *)
-let hash (b : t) : int =
-  let combine h x = (h * 31) + x in
-  let hash_value (v : Ast.value) = Hashtbl.hash_param 500 1000 v in
-  let rec go h (items : t) =
-    List.fold_left
-      (fun h item ->
-        match item with
-        | Leaf v -> combine (combine h 1) (hash_value v)
-        | Attr (a, v) ->
-            combine (combine (combine h 2) (Hashtbl.hash a)) (hash_value v)
-        | Box (id, inner) ->
-            let h = combine (combine h 3) (Hashtbl.hash id) in
-            go h inner)
-      h items
-  in
-  go 0 b
-
 let rec pp ppf (b : t) =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_item) b
 

@@ -53,10 +53,5 @@ val count_boxes : t -> int
 val count_items : t -> int
 val depth : t -> int
 
-val hash : t -> int
-(** Full-structure hash for the incremental layout cache; the cache
-    still verifies {!equal} on hits, so collisions cost time, never
-    correctness. *)
-
 val pp : Format.formatter -> t -> unit
 val pp_item : Format.formatter -> item -> unit

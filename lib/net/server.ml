@@ -246,7 +246,9 @@ let handle_client_frame (t : t) (c : conn) (f : Wire.client_frame) : unit =
       | Error m -> error t c 3 m
       | Ok snap -> (
           let host_program = Registry.program t.reg in
-          match Snapshot.restore ~program:host_program snap with
+          match
+            Snapshot.restore ~program:host_program (Registry.config t.reg) snap
+          with
           | Error m -> error t c 4 m
           | Ok s -> (
               (* A snapshot carrying older code is UPDATE-d to the

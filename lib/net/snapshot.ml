@@ -12,21 +12,18 @@ module Srcid = Live_core.Srcid
 module Store = Live_core.Store
 module Machine = Live_core.Machine
 module Session = Live_runtime.Session
-module Trace = Live_runtime.Trace
+module Registry = Live_host.Registry
 
 type t = {
-  width : int;
-  fuel : int;
-  incremental : bool;
-  cache : bool;
-  evaluator : Machine.evaluator;
   program : Program.t;
   store : (Live_core.Ident.global * Ast.value) list;
   stack : (Live_core.Ident.page * Ast.value) list;
-  trace : Trace.t;
   fault : Session.fault option;
   pending : Wire.event list;
 }
+
+(* The one format version this printer writes and the parser accepts. *)
+let version = 2
 
 (* ------------------------------------------------------------------ *)
 (* S-expressions                                                       *)
@@ -230,11 +227,6 @@ let sexp_of_def : Program.def -> sexp = function
           sexp_of_expr render;
         ]
 
-let sexp_of_entry : Trace.entry -> sexp = function
-  | Trace.Tap { x; y } ->
-      L [ A "tap"; A (string_of_int x); A (string_of_int y) ]
-  | Trace.Back -> L [ A "back" ]
-
 let sexp_of_event : Wire.event -> sexp = function
   | Wire.Ev_tap { x; y } ->
       L [ A "tap"; A (string_of_int x); A (string_of_int y) ]
@@ -247,20 +239,7 @@ let to_string (s : t) : string =
     Buffer.add_string b "\n ";
     print_sexp b x
   in
-  field (L [ A "version"; A "1" ]);
-  field (L [ A "width"; A (string_of_int s.width) ]);
-  field (L [ A "fuel"; A (string_of_int s.fuel) ]);
-  field (L [ A "incremental"; A (if s.incremental then "true" else "false") ]);
-  field (L [ A "cache"; A (if s.cache then "true" else "false") ]);
-  field
-    (L
-       [
-         A "evaluator";
-         A
-           (match s.evaluator with
-           | Machine.Subst -> "subst"
-           | Machine.Compiled -> "compiled");
-       ]);
+  field (L [ A "version"; A (string_of_int version) ]);
   field (L (A "program" :: List.map sexp_of_def (Program.defs s.program)));
   field
     (L
@@ -270,7 +249,6 @@ let to_string (s : t) : string =
     (L
        (A "stack"
        :: List.map (fun (p, v) -> L [ A p; sexp_of_value v ]) s.stack));
-  field (L (A "trace" :: List.map sexp_of_entry s.trace));
   field
     (L
        [
@@ -300,12 +278,6 @@ let float_of x =
   match float_of_string_opt (atom_of x) with
   | Some v -> v
   | None -> fail "malformed float %S" (atom_of x)
-
-let bool_of x =
-  match atom_of x with
-  | "true" -> true
-  | "false" -> false
-  | s -> fail "malformed boolean %S" s
 
 let eff_of = function
   | "p" -> Eff.Pure
@@ -365,11 +337,6 @@ let def_of : sexp -> Program.def = function
         }
   | _ -> fail "malformed definition"
 
-let entry_of : sexp -> Trace.entry = function
-  | L [ A "tap"; x; y ] -> Trace.Tap { x = int_of x; y = int_of y }
-  | L [ A "back" ] -> Trace.Back
-  | _ -> fail "malformed trace entry"
-
 let event_of : sexp -> Wire.event = function
   | L [ A "tap"; x; y ] -> Wire.Ev_tap { x = int_of x; y = int_of y }
   | L [ A "back" ] -> Wire.Ev_back
@@ -382,46 +349,32 @@ let binding_of (kind : string) : sexp -> string * Ast.value = function
 let of_string (text : string) : (t, string) result =
   try
     match parse_sexp text with
-    | L
-        [
-          A "snapshot";
-          L [ A "version"; v ];
-          L [ A "width"; width ];
-          L [ A "fuel"; fuel ];
-          L [ A "incremental"; incremental ];
-          L [ A "cache"; cache ];
-          L [ A "evaluator"; ev ];
-          L (A "program" :: defs);
-          L (A "store" :: store);
-          L (A "stack" :: stack);
-          L (A "trace" :: trace);
-          L [ A "fault"; fault ];
-          L (A "pending" :: pending);
+    | L (A "snapshot" :: L [ A "version"; v ] :: fields) -> (
+        if int_of v <> version then
+          fail "unsupported snapshot version %s (this host reads version %d)"
+            (atom_of v) version;
+        match fields with
+        | [
+         L (A "program" :: defs);
+         L (A "store" :: store);
+         L (A "stack" :: stack);
+         L [ A "fault"; fault ];
+         L (A "pending" :: pending);
         ] ->
-        if int_of v <> 1 then fail "unsupported snapshot version %s" (atom_of v);
-        Ok
-          {
-            width = int_of width;
-            fuel = int_of fuel;
-            incremental = bool_of incremental;
-            cache = bool_of cache;
-            evaluator =
-              (match atom_of ev with
-              | "subst" -> Machine.Subst
-              | "compiled" -> Machine.Compiled
-              | s -> fail "unknown evaluator %S" s);
-            program = Program.of_defs (List.map def_of defs);
-            store = List.map (binding_of "store") store;
-            stack = List.map (binding_of "stack") stack;
-            trace = List.map entry_of trace;
-            fault =
-              (match atom_of fault with
-              | "none" -> None
-              | "drop" -> Some Session.Drop_next_event
-              | "dup" -> Some Session.Duplicate_next_event
-              | s -> fail "unknown fault %S" s);
-            pending = List.map event_of pending;
-          }
+            Ok
+              {
+                program = Program.of_defs (List.map def_of defs);
+                store = List.map (binding_of "store") store;
+                stack = List.map (binding_of "stack") stack;
+                fault =
+                  (match atom_of fault with
+                  | "none" -> None
+                  | "drop" -> Some Session.Drop_next_event
+                  | "dup" -> Some Session.Duplicate_next_event
+                  | s -> fail "unknown fault %S" s);
+                pending = List.map event_of pending;
+              }
+        | _ -> Error "malformed snapshot fields")
     | _ -> Error "not a snapshot"
   with
   | Parse m -> Error m
@@ -453,15 +406,9 @@ let program_of_string (text : string) : (Program.t, string) result =
 let of_session ?(pending = []) (s : Session.t) : t =
   let st = Session.state s in
   {
-    width = Session.width s;
-    fuel = Session.fuel s;
-    incremental = Session.cache_stats s <> None;
-    cache = Session.render_cache_stats s <> None;
-    evaluator = Session.evaluator s;
     program = st.Live_core.State.code;
     store = Store.bindings st.Live_core.State.store;
     stack = st.Live_core.State.stack;
-    trace = Session.trace s;
     fault = Session.pending_fault s;
     pending;
   }
@@ -484,16 +431,17 @@ let program_equal (p : Program.t) (q : Program.t) : bool =
   let dp = Program.defs p and dq = Program.defs q in
   List.compare_lengths dp dq = 0 && List.for_all2 def_equal dp dq
 
-let restore ?program (snap : t) : (Session.t, string) result =
+let restore ?program (cfg : Registry.config) (snap : t) :
+    (Session.t, string) result =
   let program =
     match program with
     | Some p when program_equal p snap.program -> p
     | _ -> snap.program
   in
   match
-    Session.restore ~width:snap.width ~fuel:snap.fuel
-      ~incremental:snap.incremental ~cache:snap.cache ~evaluator:snap.evaluator
-      ~trace:snap.trace ~fault:snap.fault
+    Session.restore ~width:cfg.Registry.width ?fuel:cfg.Registry.fuel
+      ~cache:cfg.Registry.cache ~evaluator:cfg.Registry.evaluator
+      ~fault:snap.fault
       ~store:(Store.of_bindings snap.store)
       ~stack:snap.stack program
   with

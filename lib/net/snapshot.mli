@@ -1,16 +1,17 @@
 (** Canonical session snapshots: the persistence half of detach/resume
     (DESIGN.md §12.3).
 
-    A snapshot is the complete durable identity of a session — the
-    code [C], the store [S], the page stack [P], the interaction
-    trace, the engine configuration (width, fuel, evaluator, caches),
-    a still-armed queue fault, and any events taken from the host's
-    ingress queue but not yet served.  The display and pixels are
-    deliberately {e not} serialized: RENDER re-derives them
+    A snapshot is the complete durable identity of a session, and only
+    what the session owns: the code [C], the store [S], the page stack
+    [P] (Fig. 7), a still-armed queue fault, and any events taken from
+    the host's ingress queue but not yet served.  The display and
+    pixels are deliberately {e not} serialized: RENDER re-derives them
     deterministically on restore ({!Live_runtime.Session.restore}), so
     a restored session is byte-identical to one that never detached —
     the oracle's ["host-net"] configuration and [test/test_net.ml]
-    enforce exactly that.
+    enforce exactly that.  Nor are engine settings (width, fuel,
+    evaluator, render cache): the host that resumes a snapshot runs it
+    under its own {!Live_host.Registry.config}.
 
     The text format is a canonical s-expression (grammar in
     DESIGN.md §12.3): one snapshot value has exactly one printed
@@ -20,17 +21,11 @@
     round-trip every bit pattern including negative zero. *)
 
 type t = {
-  width : int;
-  fuel : int;
-  incremental : bool;  (** the Sec. 5 layout-reuse cache was on *)
-  cache : bool;  (** the end-to-end render cache was on *)
-  evaluator : Live_core.Machine.evaluator;
   program : Live_core.Program.t;
   store : (Live_core.Ident.global * Live_core.Ast.value) list;
       (** assigned globals, in {!Live_core.Store.bindings} order *)
   stack : (Live_core.Ident.page * Live_core.Ast.value) list;
       (** page stack, top last (as in {!Live_core.State}) *)
-  trace : Live_runtime.Trace.t;
   fault : Live_runtime.Session.fault option;
   pending : Wire.event list;
       (** events taken from the ingress queue but not yet served;
@@ -46,9 +41,11 @@ val to_string : t -> string
     {!of_string}. *)
 
 val of_string : string -> (t, string) result
-(** Parse canonical text.  Total: malformed input is [Error reason],
-    never an exception.  [to_string] of the result is byte-identical
-    to [to_string] of the value that produced the input. *)
+(** Parse canonical text of format version 2.  Total: malformed input
+    is [Error reason], never an exception; text of another version
+    (version 1 carried engine settings and a trace) is an [Error] that
+    names the version.  [to_string] of the result is byte-identical to
+    [to_string] of the value that produced the input. *)
 
 val program_to_string : Live_core.Program.t -> string
 (** Canonical text of a bare program — the same [(program def ...)]
@@ -66,13 +63,17 @@ val program_equal : Live_core.Program.t -> Live_core.Program.t -> bool
 
 val restore :
   ?program:Live_core.Program.t ->
+  Live_host.Registry.config ->
   t ->
   (Live_runtime.Session.t, string) result
-(** Rebuild a live session from a snapshot and drive it to stability.
-    [program], when given and {!program_equal} to the snapshot's code,
-    is used in its place — the server passes the registry's current
-    program so a resumed session shares it {e physically} (the
-    registry's epoch accounting compares code by identity).  A
+(** Rebuild a live session from a snapshot and drive it to stability
+    under the resuming host's engine settings: the [config]'s width,
+    fuel, evaluator and render cache (its queue settings are the
+    registry's business).  [program], when given and {!program_equal}
+    to the snapshot's code, is used in its place — the server passes
+    the registry's current program so a resumed session shares it
+    {e physically} (the registry's epoch accounting compares code by
+    identity).  A
     [program] that differs structurally is ignored; the caller decides
     whether to then UPDATE the resumed session to the host's code.
     Pending events are {e not} re-offered here ({!pending} is data);

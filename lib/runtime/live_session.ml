@@ -27,14 +27,12 @@ let error_to_string = function
   | Compile_error e -> Live_surface.Compile.error_to_string e
   | Runtime_error e -> Live_core.Machine.error_to_string e
 
-let create ?width ?fuel ?incremental ?cache (source : string) :
-    (t, error) result =
+let create ?width ?fuel ?cache (source : string) : (t, error) result =
   match Live_surface.Compile.compile source with
   | Error e -> Error (Compile_error e)
   | Ok compiled -> (
       match
-        Session.create ?width ?fuel ?incremental ?cache
-          compiled.Live_surface.Compile.core
+        Session.create ?width ?fuel ?cache compiled.Live_surface.Compile.core
       with
       | Error e -> Error (Runtime_error e)
       | Ok session ->

@@ -20,7 +20,6 @@ val error_to_string : error -> string
 val create :
   ?width:int ->
   ?fuel:int ->
-  ?incremental:bool ->
   ?cache:bool ->
   string ->
   (t, error) result

@@ -17,9 +17,8 @@
     transparent; {!render_cache_stats} and {!damage_stats} expose the
     hit/miss/damage counters for tests and benchmarks.
 
-    A session also records the trace of user interactions, which the
-    restart baseline replays and which this runtime deliberately never
-    needs. *)
+    A session keeps no interaction history: the live runtime never
+    replays one.  Only the restart baseline records a {!Trace}. *)
 
 module Machine = Live_core.Machine
 module State = Live_core.State
@@ -70,8 +69,6 @@ type t = {
           observationally identical, enforced by the conformance
           oracle's ["compiled"] configuration *)
   mutable layout : Live_ui.Layout.node option;
-  mutable trace : Trace.t;
-  cache : Live_ui.Layout.cache option;  (** incremental layout, if on *)
   render_cache : Live_core.Render_cache.t option;
       (** dependency-tracked render memoization, if on *)
   reuse : Live_ui.Layout.reuse option;
@@ -112,30 +109,34 @@ let render_cache_of ~cache tables =
       | Some tb -> Live_core.Render_cache.share tb
       | None -> Live_core.Render_cache.create ())
 
-let create ?(width = 48) ?(fuel = Live_core.Eval.default_fuel)
-    ?(incremental = false) ?(cache = false) ?tables
-    ?(evaluator = Machine.Compiled) (program : Live_core.Program.t) :
+(* Every session is built here, from its first (unstable) state, and
+   driven to stability. *)
+let make ~width ~fuel ~cache ?tables ~evaluator ~fault (state : State.t) :
     (t, Machine.error) result =
   let t =
     {
-      state = State.initial program;
+      state;
       width;
       fuel;
       evaluator;
       layout = None;
-      trace = Trace.empty;
-      cache = (if incremental then Some (Live_ui.Layout.create_cache ()) else None);
       render_cache = render_cache_of ~cache tables;
       reuse = (if cache then Some (Live_ui.Layout.create_reuse ()) else None);
       frame = None;
       damage = no_damage;
-      pending_fault = None;
+      pending_fault = fault;
       epoch = 0;
       journal = None;
     }
   in
   let* () = stabilize t in
   Ok t
+
+let create ?(width = 48) ?(fuel = Live_core.Eval.default_fuel)
+    ?(cache = false) ?tables ?(evaluator = Machine.Compiled)
+    (program : Live_core.Program.t) : (t, Machine.error) result =
+  make ~width ~fuel ~cache ?tables ~evaluator ~fault:None
+    (State.initial program)
 
 (** Apply (and clear) the pending queue fault.  Called between the
     transition that enqueued an event and the stabilisation loop that
@@ -178,37 +179,16 @@ let flush_caches (t : t) : unit =
     what makes snapshot/restore byte-identical without ever
     serializing a framebuffer. *)
 let restore ?(width = 48) ?(fuel = Live_core.Eval.default_fuel)
-    ?(incremental = false) ?(cache = false) ?(evaluator = Machine.Compiled)
-    ?(trace = Trace.empty) ?(fault = None) ~(store : Live_core.Store.t)
+    ?(cache = false) ?(evaluator = Machine.Compiled) ?(fault = None)
+    ~(store : Live_core.Store.t)
     ~(stack : (Live_core.Ident.page * Live_core.Ast.value) list)
     (program : Live_core.Program.t) : (t, Machine.error) result =
-  let state0 = Live_core.State.initial program in
-  let t =
-    {
-      state = { state0 with Live_core.State.store; stack };
-      width;
-      fuel;
-      evaluator;
-      layout = None;
-      trace;
-      cache = (if incremental then Some (Live_ui.Layout.create_cache ()) else None);
-      render_cache = render_cache_of ~cache None;
-      reuse = (if cache then Some (Live_ui.Layout.create_reuse ()) else None);
-      frame = None;
-      damage = no_damage;
-      pending_fault = fault;
-      epoch = 0;
-      journal = None;
-    }
-  in
-  let* () = stabilize t in
-  Ok t
+  make ~width ~fuel ~cache ~evaluator ~fault
+    { (State.initial program) with State.store; stack }
 
 let state (t : t) = t.state
 let evaluator (t : t) = t.evaluator
-let fuel (t : t) = t.fuel
 let pending_fault (t : t) = t.pending_fault
-let trace (t : t) = t.trace
 let width (t : t) = t.width
 
 let display_content (t : t) : Live_core.Boxcontent.t option =
@@ -232,8 +212,7 @@ let layout (t : t) : Live_ui.Layout.node option =
             match t.frame with
             | Some fr when fr.fbox == b -> fr.froot
             | _ ->
-                Live_ui.Layout.layout_page ?cache:t.cache ?reuse:t.reuse
-                  ~width:t.width b
+                Live_ui.Layout.layout_page ?reuse:t.reuse ~width:t.width b
           in
           t.layout <- Some l;
           Some l)
@@ -306,11 +285,10 @@ type tap_result =
   | No_handler  (** nothing tappable at that position *)
 
 (** Tap the display at screen coordinates, like a user's finger.
-    Records the interaction in the trace either way (the user did
+    Journalled either way while a checkpoint is armed (the user did
     touch the screen; whether it hit is a property of the current UI). *)
 let tap (t : t) ~(x : int) ~(y : int) : (tap_result, Machine.error) result =
   journal_op t (J_tap { x; y });
-  t.trace <- Trace.add (Trace.Tap { x; y }) t.trace;
   match layout t with
   | None -> Ok No_handler
   | Some root -> (
@@ -340,7 +318,6 @@ let tap_first (t : t) : (tap_result, Machine.error) result =
 (** The BACK button. *)
 let back (t : t) : (unit, Machine.error) result =
   journal_op t J_back;
-  t.trace <- Trace.add Trace.Back t.trace;
   t.state <- Machine.back t.state;
   apply_pending_fault t;
   stabilize t
@@ -393,19 +370,15 @@ let update ?(checked = false) ?diff (t : t) (new_code : Live_core.Program.t)
 (* -- checkpoint / rollback ------------------------------------------- *)
 
 (** A rollback point: the immutable parts of a session, captured by
-    reference (state, trace and the pending fault are persistent
-    values — no copying needed). *)
-type checkpoint = {
-  cp_state : State.t;
-  cp_trace : Trace.t;
-  cp_fault : fault option;
-}
+    reference (the state and the pending fault are persistent values —
+    no copying needed). *)
+type checkpoint = { cp_state : State.t; cp_fault : fault option }
 
 (** Capture a rollback point and arm the journal: every interaction
     from here on is recorded until {!commit} or {!rewind}. *)
 let checkpoint (t : t) : checkpoint =
   t.journal <- Some [];
-  { cp_state = t.state; cp_trace = t.trace; cp_fault = t.pending_fault }
+  { cp_state = t.state; cp_fault = t.pending_fault }
 
 (** Keep the current state: disarm the journal and discard it. *)
 let commit (t : t) : unit = t.journal <- None
@@ -424,7 +397,6 @@ let rewind (t : t) (cp : checkpoint) : Machine.error list =
   let ops = match t.journal with Some ops -> List.rev ops | None -> [] in
   t.journal <- None;
   t.state <- cp.cp_state;
-  t.trace <- cp.cp_trace;
   t.pending_fault <- cp.cp_fault;
   Option.iter Live_core.Render_cache.drop_displays t.render_cache;
   t.frame <- None;
@@ -459,9 +431,6 @@ let current_page (t : t) : (string * Live_core.Ast.value) option =
   State.top_page t.state
 
 let store (t : t) = t.state.State.store
-
-let cache_stats (t : t) : (int * int) option =
-  Option.map Live_ui.Layout.cache_stats t.cache
 
 let render_cache_stats (t : t) : Live_core.Render_cache.stats option =
   Option.map Live_core.Render_cache.stats t.render_cache

@@ -16,19 +16,18 @@ type damage_totals = {
 val create :
   ?width:int ->
   ?fuel:int ->
-  ?incremental:bool ->
   ?cache:bool ->
   ?tables:Live_core.Render_cache.tables ->
   ?evaluator:Live_core.Machine.evaluator ->
   Live_core.Program.t ->
   (t, Live_core.Machine.error) result
-(** Boot to the first stable state.  [incremental] turns on the
-    Sec. 5 layout-reuse cache (pixel-identical; see
-    [test/test_incremental.ml]).  [cache] turns on the end-to-end
-    incremental render pipeline: dependency-tracked RENDER memoization
-    ({!Live_core.Render_cache}), layout reuse for revalidated
-    displays, and damage-tracked repainting — also observationally
-    transparent (see [test/test_render_cache.ml]).  Its subtree
+(** Boot to the first stable state.  [cache] turns on the end-to-end
+    incremental render pipeline (Sec. 5's reuse of unchanged box
+    tree elements): dependency-tracked RENDER memoization
+    ({!Live_core.Render_cache}), previous-frame layout reuse
+    ({!Live_ui.Layout.reuse}), and damage-tracked repainting —
+    observationally transparent (see [test/test_render_cache.ml] and
+    [test/test_incremental.ml]).  Its subtree
     tables are [tables], shared with every session on a registry's
     code epoch, or else the session's own.  [evaluator]
     selects the expression engine (default
@@ -37,12 +36,8 @@ val create :
     and the oracle's ["compiled"] configuration). *)
 
 val evaluator : t -> Live_core.Machine.evaluator
-val fuel : t -> int
-(** The evaluator fuel bound this session runs under. *)
-
 val state : t -> Live_core.State.t
 val store : t -> Live_core.Store.t
-val trace : t -> Trace.t
 val width : t -> int
 val current_page : t -> (string * Live_core.Ast.value) option
 
@@ -73,7 +68,7 @@ type tap_result =
   | No_handler  (** nothing tappable there *)
 
 val tap : t -> x:int -> y:int -> (tap_result, Live_core.Machine.error) result
-(** Tap at screen coordinates; recorded in the trace either way. *)
+(** Tap at screen coordinates. *)
 
 val tap_first : t -> (tap_result, Live_core.Machine.error) result
 
@@ -96,9 +91,6 @@ val update :
     memoized subtrees and displays of unchanged definitions survive —
     observable behaviour is byte-identical either way (the oracle's
     ["host-incr"] configuration enforces it). *)
-
-val cache_stats : t -> (int * int) option
-(** (hits, misses) of the incremental layout cache, if enabled. *)
 
 val render_cache_stats : t -> Live_core.Render_cache.stats option
 (** Hit/miss/revalidation/flush counters of the render memoization
@@ -133,10 +125,8 @@ val pending_fault : t -> fault option
 val restore :
   ?width:int ->
   ?fuel:int ->
-  ?incremental:bool ->
   ?cache:bool ->
   ?evaluator:Live_core.Machine.evaluator ->
-  ?trace:Trace.t ->
   ?fault:fault option ->
   store:Live_core.Store.t ->
   stack:(Live_core.Ident.page * Live_core.Ast.value) list ->
@@ -148,8 +138,10 @@ val restore :
     display deterministically from the code, store and stack; a
     session restored from a detached session's snapshot is therefore
     byte-identical (store, stack, pixels) to one that was never
-    detached.  [trace] re-installs the interaction history and [fault]
-    a still-armed one-shot queue fault.  An empty [stack] boots from
+    detached and runs under the same [width].  The engine settings
+    ([width], [fuel], [cache], [evaluator], as in {!create}) are the
+    restorer's; none of them is state.  [fault] re-arms a
+    still-pending one-shot queue fault.  An empty [stack] boots from
     scratch (STARTUP runs, as in {!create}). *)
 
 val flush_caches : t -> unit
@@ -176,8 +168,8 @@ type checkpoint
 
 val checkpoint : t -> checkpoint
 (** Capture a rollback point and start journalling interactions
-    ([tap], [back], [inject]).  Cheap: state, trace and pending fault
-    are persistent values captured by reference. *)
+    ([tap], [back], [inject]).  Cheap: state and pending fault are
+    persistent values captured by reference. *)
 
 val commit : t -> unit
 (** Keep the current state; stop journalling and drop the journal. *)

@@ -1,8 +1,9 @@
 (** Interaction traces, addressed by screen coordinates like a real
-    user's finger.  The live runtime records them but never needs
-    them; the restart baseline replays them to win back UI context
-    after every code change — and diverges when the edit moves boxes
-    (Sec. 1's trace-re-execution problem). *)
+    user's finger.  Only the restart baseline records them
+    ({!Live_baseline.Restart_runtime}): it replays its trace to win
+    back UI context after every code change — and diverges when the
+    edit moves boxes (Sec. 1's trace-re-execution problem).  A live
+    {!Session} keeps no trace; it never needs one. *)
 
 type entry = Tap of { x : int; y : int } | Back
 type t = entry list

@@ -130,32 +130,13 @@ let align_offset (align : Style.align) (avail : int) (w : int) : int =
   | Style.Center -> max 0 ((avail - w) / 2)
   | Style.Right -> max 0 (avail - w)
 
-(** A layout cache, keyed by (content hash, available width, stretch):
-    the Sec. 5 optimization — "reuse box tree elements that have not
-    changed".  Cached subtrees are stored normalized to the origin and
-    rebased on reuse, so a row that reappears at a different vertical
-    offset still hits. *)
-type cache = {
-  tbl : (int * int * int * bool, Boxcontent.t * node) Hashtbl.t;
-      (** key: content hash, srcid (-1 for none), avail width, stretch;
-          the stored content is compared with {!Boxcontent.equal} on
-          every hit, so hash collisions cannot corrupt the display *)
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let create_cache () : cache = { tbl = Hashtbl.create 256; hits = 0; misses = 0 }
-
-let cache_stats (c : cache) = (c.hits, c.misses)
-
-let rec rebase ~(dx : int) ~(dy : int) ~(prefix : int list) (n : node) : node
-    =
-  if dx = 0 && dy = 0 && prefix = [] then n
+(* Translate a laid-out subtree by [(dx, dy)]. *)
+let rec rebase ~(dx : int) ~(dy : int) (n : node) : node =
+  if dx = 0 && dy = 0 then n
   else
     let move (r : rect) = { r with x = r.x + dx; y = r.y + dy } in
     {
       n with
-      bpath = prefix @ n.bpath;
       outer = move n.outer;
       frame = move n.frame;
       inner = move n.inner;
@@ -163,7 +144,7 @@ let rec rebase ~(dx : int) ~(dy : int) ~(prefix : int list) (n : node) : node
         List.map
           (function
             | Text t -> Text { t with rect = move t.rect }
-            | Child c -> Child (rebase ~dx ~dy ~prefix c))
+            | Child c -> Child (rebase ~dx ~dy c))
           n.items;
     }
 
@@ -175,41 +156,18 @@ let rec rebase ~(dx : int) ~(dy : int) ~(prefix : int list) (n : node) : node
     the same node, translated.  The state is the previous frame itself
     — its width, box content and layout tree — walked in lockstep with
     the new frame: child [i] of a box is compared with child [i] of the
-    same box last frame.  Unlike the structural {!cache} this needs no
-    hashing and no deep equality, and it holds exactly one frame. *)
+    same box last frame.  It needs no hashing and no deep equality,
+    and it holds exactly one frame. *)
 type reuse = { mutable last : (int * Boxcontent.t * node) option }
 
 let create_reuse () : reuse = { last = None }
 
 (** Lay out one box at absolute position [(x, y)] with [avail] outer
     width.  [stretch] forces the frame to fill the available width
-    (vertical-stack children); otherwise the box shrinks to content. *)
-let rec layout_box ?cache ~(x : int) ~(y : int) ~(avail : int)
-    ~(stretch : bool) ~(bpath : int list)
-    (srcid : Live_core.Srcid.t option) (b : Boxcontent.t) : node =
-  match cache with
-  | None -> layout_box_raw ~x ~y ~avail ~stretch ~bpath srcid b
-  | Some c -> (
-      let id =
-        match srcid with Some i -> Live_core.Srcid.to_int i | None -> -1
-      in
-      let key = (Boxcontent.hash b, id, avail, stretch) in
-      match Hashtbl.find_opt c.tbl key with
-      | Some (b0, n0) when Boxcontent.equal b0 b ->
-          c.hits <- c.hits + 1;
-          rebase ~dx:x ~dy:y ~prefix:bpath n0
-      | _ ->
-          c.misses <- c.misses + 1;
-          let n0 =
-            layout_box_raw ~cache:c ~x:0 ~y:0 ~avail ~stretch ~bpath:[] srcid b
-          in
-          Hashtbl.replace c.tbl key (b, n0);
-          rebase ~dx:x ~dy:y ~prefix:bpath n0)
-
-(* [prev] is the previous frame's content and node at this box path:
-   its children are walked in lockstep with [b]'s for physical reuse,
-   which takes the place of the structural [cache] (never both). *)
-and layout_box_raw ?cache ?prev ~(x : int) ~(y : int) ~(avail : int)
+    (vertical-stack children); otherwise the box shrinks to content.
+    [prev] is the previous frame's content and node at this box path:
+    its children are walked in lockstep with [b]'s for physical reuse. *)
+let rec layout_box ?prev ~(x : int) ~(y : int) ~(avail : int)
     ~(stretch : bool) ~(bpath : int list)
     (srcid : Live_core.Srcid.t option) (b : Boxcontent.t) : node =
   let style = Style.of_box b in
@@ -260,8 +218,7 @@ and layout_box_raw ?cache ?prev ~(x : int) ~(y : int) ~(avail : int)
   let child ~x ~y ~avail ~stretch ~idx child_id cb =
     match prev with
     | None ->
-        layout_box ?cache ~x ~y ~avail ~stretch ~bpath:(bpath @ [ idx ])
-          child_id cb
+        layout_box ~x ~y ~avail ~stretch ~bpath:(bpath @ [ idx ]) child_id cb
     | Some (_, pparent) -> (
         match (next_pbox (), next_pnode ()) with
         | Some (pid, pb), Some pn ->
@@ -274,13 +231,13 @@ and layout_box_raw ?cache ?prev ~(x : int) ~(y : int) ~(avail : int)
             if
               pb == cb && pavail = avail && phoriz = not stretch
               && Option.equal Live_core.Srcid.equal pid child_id
-            then rebase ~dx:(x - pn.outer.x) ~dy:(y - pn.outer.y) ~prefix:[] pn
+            then rebase ~dx:(x - pn.outer.x) ~dy:(y - pn.outer.y) pn
             else
-              layout_box_raw ~prev:(pb, pn) ~x ~y ~avail ~stretch
+              layout_box ~prev:(pb, pn) ~x ~y ~avail ~stretch
                 ~bpath:(bpath @ [ idx ]) child_id cb
         | _ ->
-            layout_box_raw ~x ~y ~avail ~stretch ~bpath:(bpath @ [ idx ])
-              child_id cb)
+            layout_box ~x ~y ~avail ~stretch ~bpath:(bpath @ [ idx ]) child_id
+              cb)
   in
   List.iter
     (fun it ->
@@ -347,20 +304,18 @@ and layout_box_raw ?cache ?prev ~(x : int) ~(y : int) ~(avail : int)
     box ("our model has an implicit top-level box", Sec. 4.3).
     [reuse] holds the previous frame: the layout walks it in lockstep
     and leaves this frame behind in its place. *)
-let layout_page ?cache ?reuse ?(width = 48) (b : Boxcontent.t) : node =
+let layout_page ?reuse ?(width = 48) (b : Boxcontent.t) : node =
+  let fresh ?prev () =
+    layout_box ?prev ~x:0 ~y:0 ~avail:width ~stretch:true ~bpath:[] None b
+  in
   match reuse with
-  | None ->
-      layout_box ?cache ~x:0 ~y:0 ~avail:width ~stretch:true ~bpath:[] None b
+  | None -> fresh ()
   | Some r ->
       let n =
         match r.last with
         | Some (w, pb, pn) when w = width ->
-            if pb == b then pn
-            else
-              layout_box_raw ~prev:(pb, pn) ~x:0 ~y:0 ~avail:width
-                ~stretch:true ~bpath:[] None b
-        | _ ->
-            layout_box_raw ~x:0 ~y:0 ~avail:width ~stretch:true ~bpath:[] None b
+            if pb == b then pn else fresh ~prev:(pb, pn) ()
+        | _ -> fresh ()
       in
       r.last <- Some (width, b, n);
       n

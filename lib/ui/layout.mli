@@ -28,19 +28,6 @@ val wrap_text : int -> string -> string list
 val text_natural_width : string -> int
 val natural_width : Live_core.Boxcontent.t -> int
 
-(** {1 The Sec. 5 cache}
-
-    Keyed by (content hash, srcid, available width, stretch); cached
-    subtrees are stored origin-normalized and rebased on reuse, and
-    every hit is verified with {!Live_core.Boxcontent.equal}, so
-    collisions cost time, never correctness. *)
-
-type cache
-
-val create_cache : unit -> cache
-val cache_stats : cache -> int * int
-(** (hits, misses). *)
-
 (** {1 Previous-frame reuse}
 
     Physical-identity layout reuse for box trees produced by
@@ -50,26 +37,13 @@ val cache_stats : cache -> int * int
     available width, stretch and srcid) reuses its node, translated —
     the node itself when it did not move.  No hashing, no deep
     equality, and the state is exactly one frame, so it cannot grow
-    without bound.  When active it takes the place of the structural
-    cache. *)
+    without bound. *)
 
 type reuse
 
 val create_reuse : unit -> reuse
 
-val layout_box :
-  ?cache:cache ->
-  x:int ->
-  y:int ->
-  avail:int ->
-  stretch:bool ->
-  bpath:int list ->
-  Live_core.Srcid.t option ->
-  Live_core.Boxcontent.t ->
-  node
-
-val layout_page :
-  ?cache:cache -> ?reuse:reuse -> ?width:int -> Live_core.Boxcontent.t -> node
+val layout_page : ?reuse:reuse -> ?width:int -> Live_core.Boxcontent.t -> node
 (** Lay the page out under the implicit top-level box (Sec. 4.3);
     [width] defaults to 48 cells.  [reuse] holds the previous frame:
     the layout is walked against it and then replaces it. *)

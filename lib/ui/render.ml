@@ -162,9 +162,9 @@ let paint_damaged ~(prev : Layout.node * Framebuffer.t) ?(fg = Color.Default)
 
 (** Lay out and paint a page's box content.  Returns the framebuffer
     and the layout tree (for hit-testing and navigation). *)
-let render_page ?cache ?(width = 48) (b : Live_core.Boxcontent.t) :
+let render_page ?(width = 48) (b : Live_core.Boxcontent.t) :
     Framebuffer.t * Layout.node =
-  let root = Layout.layout_page ?cache ~width b in
+  let root = Layout.layout_page ~width b in
   let height = max 1 (Layout.total_height root) in
   let fb = Framebuffer.create ~width ~height in
   paint fb root;

@@ -30,10 +30,7 @@ val paint_damaged :
     nothing differs. *)
 
 val render_page :
-  ?cache:Layout.cache ->
-  ?width:int ->
-  Live_core.Boxcontent.t ->
-  Framebuffer.t * Layout.node
+  ?width:int -> Live_core.Boxcontent.t -> Framebuffer.t * Layout.node
 
 val screenshot : ?width:int -> Live_core.Boxcontent.t -> string
 (** Plain text — the golden-test format. *)

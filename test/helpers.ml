@@ -77,12 +77,32 @@ let compile_error (src : string) : string =
   | Error e -> e.Live_surface.Compile.message
 
 (** Compile, boot and stabilise a surface program into a session. *)
-let session_of ?width ?incremental ?cache (src : string) :
-    Live_runtime.Session.t =
+let session_of ?width ?cache (src : string) : Live_runtime.Session.t =
   let c = ok_compile src in
   ok_machine "session create"
-    (Live_runtime.Session.create ?width ?incremental ?cache
-       c.Live_surface.Compile.core)
+    (Live_runtime.Session.create ?width ?cache c.Live_surface.Compile.core)
+
+(** A session snapshot in the retired format version 1, which also
+    carried engine settings: over [program], and asking for a negative
+    display width. *)
+let v1_snapshot_text (program : Live_core.Program.t) : string =
+  String.concat "\n "
+    [
+      "(snapshot";
+      "(version 1)";
+      "(width -1)";
+      Printf.sprintf "(fuel %d)" Live_core.Eval.default_fuel;
+      "(incremental false)";
+      "(cache false)";
+      "(evaluator subst)";
+      String.trim (Live_net.Snapshot.program_to_string program);
+      "(store)";
+      "(stack)";
+      "(trace)";
+      "(fault none)";
+      "(pending)";
+    ]
+  ^ ")\n"
 
 let live_of ?width (src : string) : Live_runtime.Live_session.t =
   match Live_runtime.Live_session.create ?width src with

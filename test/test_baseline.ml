@@ -41,6 +41,20 @@ let test_restart_loses_state () =
   check_contains "state rebuilt by replay"
     (Live_baseline.Restart_runtime.screenshot t) "taps: 2"
 
+(* the restart cycle records every interaction, hit or miss: its
+   trace is what it replays after a restart *)
+let test_restart_trace_records_everything () =
+  let module R = Live_baseline.Restart_runtime in
+  let t = restart_of Live_workloads.Counter.source in
+  ignore (ok_restart "tap" (R.tap t ~x:2 ~y:1));
+  ignore (ok_restart "tap" (R.tap t ~x:0 ~y:99));
+  ok_restart "back" (R.back t);
+  Alcotest.(check int) "three interactions" 3 (Trace.length (R.trace t));
+  match R.trace t with
+  | [ Trace.Tap { x = 2; y = 1 }; Trace.Tap { x = 0; y = 99 }; Trace.Back ] ->
+      ()
+  | tr -> Alcotest.failf "unexpected trace: %a" Trace.pp tr
+
 let test_restart_replay_diverges_on_layout_change () =
   (* the paper's trace-re-execution problem (Sec. 1): "code changes can
      cause the re-execution to diverge from the previous trace" — a
@@ -157,6 +171,8 @@ let test_retained_renders_via_same_painter () =
 let suite =
   [
     case "restart replays the trace to rebuild state" test_restart_loses_state;
+    case "restart trace records all interactions"
+      test_restart_trace_records_everything;
     case "replay diverges when the layout changes" test_restart_replay_diverges_on_layout_change;
     case "live absorbs the same change" test_live_absorbs_the_same_change;
     case "restart re-runs init bodies" test_restart_reruns_init;

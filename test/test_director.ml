@@ -506,6 +506,23 @@ let test_hello_boot_failure () =
   Alcotest.(check bool) "nothing after the refusals" true (Conn.next a = None);
   Alcotest.(check int) "no session held" 0 (Director.stats (director f)).Director.sessions
 
+(* A Resume carrying the retired version-1 text is refused by the shard
+   it is placed on; the director relays the Error and serves on. *)
+let test_director_refuses_v1_resume () =
+  let f = mk_fleet ~n_shards:2 (app 0) in
+  Fun.protect ~finally:(fun () -> Scenario.stop f) @@ fun () ->
+  let pp fr = Fmt.str "%a" Wire.pp (Wire.Host fr) in
+  (match Scenario.rpc f (Wire.Resume { snapshot = v1_snapshot_text (app 0) }) with
+  | Wire.Error { code; msg } ->
+      Alcotest.(check int) "refused as a bad snapshot" 3 code;
+      check_contains "the error names the version" msg "version 1"
+  | fr -> Alcotest.failf "expected Error 3, got %s" (pp fr));
+  (match Scenario.rpc f Wire.Stats with
+  | Wire.Metrics _ -> ()
+  | fr -> Alcotest.failf "expected Metrics, got %s" (pp fr));
+  Alcotest.(check int) "no session held" 0
+    (Director.stats (director f)).Director.sessions
+
 (* ------------------------------------------------------------------ *)
 (* Rebalance: byte-identical migration under a live connection         *)
 (* ------------------------------------------------------------------ *)
@@ -677,6 +694,8 @@ let suite =
       test_update_orders_one_connection;
     Alcotest.test_case "a fleet that cannot boot refuses a Hello whole" `Quick
       test_hello_boot_failure;
+    Alcotest.test_case "a version-1 Resume is refused and the director serves on"
+      `Quick test_director_refuses_v1_resume;
     Alcotest.test_case "rebalance migrates byte-identically" `Quick
       test_rebalance_migration;
     Alcotest.test_case "protocol violations close only the offender" `Quick

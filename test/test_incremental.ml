@@ -1,16 +1,17 @@
 (** The incremental-rendering optimization (Sec. 5: "reuse box tree
-    elements that have not changed"): transparency (cached and
-    uncached sessions pixel-identical) and effectiveness (row reuse
-    across re-renders). *)
+    elements that have not changed"): transparency (sessions with the
+    [~cache] pipeline and plain ones pixel-identical) and effectiveness
+    (an unchanged row keeps its layout node across a tap). *)
 
 open Live_runtime
 open Helpers
+module Layout = Live_ui.Layout
 
 let rows_src n = Live_workloads.Synthetic.flat_rows ~n
 
 let test_transparent_over_interactions () =
   let plain = session_of ~width:40 (rows_src 30) in
-  let cached = session_of ~width:40 ~incremental:true (rows_src 30) in
+  let cached = session_of ~width:40 ~cache:true (rows_src 30) in
   let check_same what =
     Alcotest.(check string) what (Session.screenshot plain)
       (Session.screenshot cached)
@@ -24,28 +25,36 @@ let test_transparent_over_interactions () =
   ignore (ok_machine "tap" (Session.tap cached ~x:2 ~y:20));
   check_same "after second tap"
 
-let test_cache_reuses_unchanged_rows () =
-  let s = session_of ~width:40 ~incremental:true (rows_src 50) in
-  ignore (Session.screenshot s);
-  let hits0, misses0 =
-    match Session.cache_stats s with
-    | Some st -> st
-    | None -> Alcotest.fail "expected a cache"
+(* A tap on independent_rows re-renders one row; the render cache
+   splices the others as the very same values, and previous-frame
+   layout reuse hands back their nodes. *)
+let test_reuse_keeps_unchanged_rows () =
+  let s =
+    session_of ~width:40 ~cache:true
+      (Live_workloads.Synthetic.independent_rows ~n:50)
   in
-  (* tap a row: one row gains the highlight, one loses it; the other 48
-     and their inner boxes are structurally unchanged *)
+  let rows () =
+    match Session.layout s with
+    | Some { Layout.items = [ Layout.Child page ]; _ } ->
+        List.filter_map
+          (function Layout.Child c -> Some c | Layout.Text _ -> None)
+          page.Layout.items
+    | _ -> Alcotest.fail "expected one page box"
+  in
+  let before = rows () in
   ignore (ok_machine "tap" (Session.tap s ~x:2 ~y:7));
-  ignore (Session.screenshot s);
-  let hits1, misses1 = Option.get (Session.cache_stats s) in
-  let new_hits = hits1 - hits0 and new_misses = misses1 - misses0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "mostly hits (%d hits, %d misses)" new_hits new_misses)
-    true
-    (new_hits > 40 && new_misses < 10)
+  let after = rows () in
+  Alcotest.(check int) "rows" 50 (List.length after);
+  List.iteri
+    (fun i (a, b) ->
+      if i = 7 then
+        Alcotest.(check bool) "the tapped row is laid out again" false (a == b)
+      else if not (a == b) then Alcotest.failf "row %d was laid out again" i)
+    (List.combine before after)
 
 let test_transparent_across_code_update () =
   let plain = session_of ~width:40 (rows_src 20) in
-  let cached = session_of ~width:40 ~incremental:true (rows_src 20) in
+  let cached = session_of ~width:40 ~cache:true (rows_src 20) in
   let v2 = (ok_compile (rows_src 25)).core in
   ignore (ok_machine "update" (Session.update plain v2));
   ignore (ok_machine "update" (Session.update cached v2));
@@ -56,7 +65,7 @@ let test_transparent_on_workloads () =
   List.iter
     (fun (name, src) ->
       let plain = session_of ~width:46 src in
-      let cached = session_of ~width:46 ~incremental:true src in
+      let cached = session_of ~width:46 ~cache:true src in
       Alcotest.(check string) name (Session.screenshot plain)
         (Session.screenshot cached))
     [
@@ -69,7 +78,7 @@ let test_transparent_on_workloads () =
 let suite =
   [
     case "pixel-identical across interactions" test_transparent_over_interactions;
-    case "unchanged rows hit the cache" test_cache_reuses_unchanged_rows;
+    case "unchanged rows keep their layout nodes" test_reuse_keeps_unchanged_rows;
     case "pixel-identical across code updates" test_transparent_across_code_update;
     case "pixel-identical on all workloads" test_transparent_on_workloads;
   ]

@@ -162,27 +162,6 @@ let test_bpaths () =
       | _ -> Alcotest.fail "expected nested child")
   | _ -> Alcotest.fail "expected two children"
 
-let test_cache_equivalence () =
-  (* layout with and without the cache is identical *)
-  let tree =
-    List.init 20 (fun i ->
-        box ~id:(i mod 3) [ leaf (Printf.sprintf "row %d" (i mod 5)) ])
-  in
-  let plain = Layout.layout_page ~width:20 tree in
-  let cache = Layout.create_cache () in
-  let cached = Layout.layout_page ~cache ~width:20 tree in
-  let rects n = Layout.fold_nodes (fun acc (m : Layout.node) -> m.Layout.frame :: acc) [] n in
-  Alcotest.(check (list rect)) "same frames" (rects plain) (rects cached);
-  (* repeated rows hit the cache *)
-  let hits, misses = Layout.cache_stats cache in
-  Alcotest.(check bool) "cache was useful" true (hits > 0);
-  Alcotest.(check bool) "some misses" true (misses > 0);
-  (* a second layout of the same content is almost all hits *)
-  let _ = Layout.layout_page ~cache ~width:20 tree in
-  let hits2, misses2 = Layout.cache_stats cache in
-  Alcotest.(check bool) "second pass hits" true (hits2 > hits);
-  Alcotest.(check int) "no new misses" misses2 misses
-
 let test_count_nodes () =
   let root = Layout.layout_page ~width:10 tree_with_handlers in
   Alcotest.(check int) "boxes + root" 4 (Layout.count_nodes root)
@@ -375,7 +354,6 @@ let suite =
     case "nodes_at is outermost-first" test_nodes_at_order;
     case "frames_of_srcid finds loop instances" test_frames_of_srcid;
     case "box paths" test_bpaths;
-    case "cache is transparent and effective" test_cache_equivalence;
     case "node counting" test_count_nodes;
     prop_reuse_equals_fresh;
   ]

@@ -374,11 +374,13 @@ let test_wire_golden () =
 (* Snapshot text                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let mk_session ?(evaluator = Live_core.Machine.Compiled) ?(cache = false) () :
-    Session.t =
-  match Session.create ~width:32 ~cache ~evaluator (app 0) with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "boot: %s" (Live_core.Machine.error_to_string e)
+let mk_session ?(width = 32) ?(evaluator = Live_core.Machine.Compiled)
+    ?(cache = false) () : Session.t =
+  ok_machine "boot" (Session.create ~width ~cache ~evaluator (app 0))
+
+(* A host's engine settings, at [mk_session]'s width unless given. *)
+let host_config ?(width = 32) ~evaluator ~cache () =
+  { H.Registry.default_config with H.Registry.width; evaluator; cache }
 
 let drive (s : Session.t) (rng : Prng.t) (n : int) : unit =
   for _ = 1 to n do
@@ -414,7 +416,8 @@ let test_snapshot_malformed () =
       "(snapshot (version 99))";
       String.sub text 0 (String.length text / 2);
       text ^ "garbage";
-      Helpers.replace text "(version 1)" "(version 2)";
+      Helpers.replace text "(version 2)" "(version 3)";
+      Helpers.replace text "(store" "(width 32)\n (store";
     ]
   in
   List.iter
@@ -423,6 +426,26 @@ let test_snapshot_malformed () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "malformed snapshot accepted: %S" c)
     cases
+
+(* The retired format is refused by name, not misread. *)
+let test_snapshot_refuses_v1 () =
+  match Snapshot.of_string (Helpers.v1_snapshot_text (app 0)) with
+  | Ok _ -> Alcotest.fail "a version-1 snapshot was accepted"
+  | Error m -> check_contains "the error names the version" m "version 1"
+
+(* A snapshot holds only the session's state: two sessions with
+   different engine settings that took the same events print the same
+   text. *)
+let test_snapshot_state_only () =
+  let plain = mk_session ~evaluator:Live_core.Machine.Subst () in
+  let other =
+    mk_session ~width:40 ~cache:true ~evaluator:Live_core.Machine.Compiled ()
+  in
+  drive plain (Prng.create 5) 20;
+  drive other (Prng.create 5) 20;
+  Alcotest.(check string) "same snapshot text"
+    (Snapshot.to_string (Snapshot.of_session plain))
+    (Snapshot.to_string (Snapshot.of_session other))
 
 (* ------------------------------------------------------------------ *)
 (* Restore ≡ never detached                                            *)
@@ -446,7 +469,7 @@ let check_restore_invisible ~(evaluator : Live_core.Machine.evaluator)
     match Snapshot.of_string text with
     | Error m -> Alcotest.failf "of_string: %s" m
     | Ok snap' -> (
-        match Snapshot.restore snap' with
+        match Snapshot.restore (host_config ~evaluator ~cache ()) snap' with
         | Error m -> Alcotest.failf "restore: %s" m
         | Ok s -> s)
   in
@@ -471,21 +494,79 @@ let test_restore_invisible_compiled () =
     (check_restore_invisible ~evaluator:Live_core.Machine.Compiled ~cache:true)
     [ 1; 2; 3 ]
 
-(* Cross-engine restore: a snapshot written by the substitution engine
-   restores under the compiled engine's host (the evaluator rides in
-   the snapshot — restore honours it). *)
-let test_restore_carries_evaluator () =
+(* Cross-engine restore: a snapshot written by an uncached session on
+   the substitution engine restores under a compiled, cached host.  The
+   host decides the engine; the snapshot carries only state. *)
+let test_restore_under_host_config () =
   let s = mk_session ~evaluator:Live_core.Machine.Subst () in
   drive s (Prng.create 11) 10;
   let snap = Snapshot.of_session s in
-  match Snapshot.restore snap with
+  let config =
+    host_config ~evaluator:Live_core.Machine.Compiled ~cache:true ()
+  in
+  match Snapshot.restore config snap with
   | Error m -> Alcotest.failf "restore: %s" m
   | Ok s' ->
-      Alcotest.(check bool) "evaluator preserved" true
-        (Session.evaluator s' = Live_core.Machine.Subst);
+      Alcotest.(check bool) "the host's evaluator" true
+        (Session.evaluator s' = Live_core.Machine.Compiled);
+      Alcotest.(check bool) "the host's render cache" true
+        (Session.render_cache_stats s' <> None);
       Alcotest.(check string) "state preserved"
         (H.Registry.observe_session s)
         (H.Registry.observe_session s')
+
+(* Age does not grow a session: it keeps its state, not its history.
+   One mortgage session opens listing 0 and taps the APR control 10k
+   times; its snapshot and its heap stay the size they were at 1k. *)
+let test_session_age_flat () =
+  let s =
+    ok_machine "boot"
+      (Session.create ~width:48 (Live_workloads.Mortgage.core ()))
+  in
+  (* tap the first handler on the first row whose text [at] places *)
+  let tap_where at =
+    let root = Option.get (Session.layout s) in
+    let rows = Session.rows s in
+    let rec find y =
+      if y >= Array.length rows then Alcotest.fail "no tap target"
+      else
+        match at rows.(y) with
+        | Some x when Live_ui.Layout.handler_at root ~x ~y <> None -> (x, y)
+        | _ -> find (y + 1)
+    in
+    let x, y = find 0 in
+    fun () ->
+      match ok_machine "tap" (Session.tap s ~x ~y) with
+      | Session.Tapped -> ()
+      | Session.No_handler -> Alcotest.fail "tap missed"
+  in
+  tap_where (fun _ -> Some 2) ();
+  let tap_apr =
+    tap_where (fun row ->
+        let n = String.length row in
+        let rec go i =
+          if i + 4 > n then None
+          else if String.sub row i 4 = "apr:" then Some i
+          else go (i + 1)
+        in
+        go 0)
+  in
+  let size () =
+    ( String.length (Snapshot.to_string (Snapshot.of_session s)),
+      Obj.reachable_words (Obj.repr s) )
+  in
+  for _ = 1 to 1_000 do tap_apr () done;
+  let bytes1, words1 = size () in
+  for _ = 1_001 to 10_000 do tap_apr () done;
+  let bytes2, words2 = size () in
+  let flat what a b =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s at 1k and 10k taps: %d, %d" what a b)
+      true
+      (float_of_int b < 1.1 *. float_of_int a)
+  in
+  flat "snapshot bytes" bytes1 bytes2;
+  flat "reachable words" words1 words2
 
 (* save/load: the file round-trip, including the atomic write path. *)
 let test_snapshot_save_load () =
@@ -953,25 +1034,92 @@ let test_conn_close_mid_frame () =
   in
   until_eof 10
 
-let test_conn_rpc_pumps_server () =
+(* An in-process server over [app 0] under [config]; [k] gets an rpc
+   over one connection to it, and the server. *)
+let with_server ?config (name : string)
+    (k : (Wire.client_frame -> Wire.host_frame) -> Live_net.Server.t -> unit) :
+    unit =
   let module Server = Live_net.Server in
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "live-test-conn-rpc-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "live-test-%s-%d.sock" name (Unix.getpid ()))
   in
-  let srv = Server.create ~socket (app 0) in
+  let srv = Server.create ?config ~socket (app 0) in
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   let c = Conn.connect socket in
   Fun.protect ~finally:(fun () -> Conn.close c) @@ fun () ->
   let pump () = ignore (Server.step ~timeout:0. srv) in
-  let rpc f = Conn.rpc ~pump c (Wire.Client f) (fun () -> Conn.next c) in
+  k (fun f -> Conn.rpc ~pump c (Wire.Client f) (fun () -> Conn.next c)) srv
+
+let pp_host f = Fmt.str "%a" Wire.pp (Wire.Host f)
+
+let test_conn_rpc_pumps_server () =
+  with_server "conn-rpc" @@ fun rpc _ ->
   (match rpc (Wire.Hello { client = "rpc"; sessions = 1 }) with
   | Wire.Attach { session; _ } -> Alcotest.(check int) "first session" 0 session
-  | f -> Alcotest.failf "expected Attach, got %s" (Fmt.str "%a" Wire.pp (Wire.Host f)));
+  | f -> Alcotest.failf "expected Attach, got %s" (pp_host f));
   match rpc Wire.Stats with
   | Wire.Metrics _ -> ()
-  | f -> Alcotest.failf "expected Metrics, got %s" (Fmt.str "%a" Wire.pp (Wire.Host f))
+  | f -> Alcotest.failf "expected Metrics, got %s" (pp_host f)
+
+(* A snapshot from a width-32, substitution-engine, uncached session,
+   resumed on a server whose fleet runs width 40, compiled and cached:
+   it attaches under the server's settings and then behaves exactly
+   like a twin that ran under them all along. *)
+let test_resume_under_server_config () =
+  let subject = mk_session ~evaluator:Live_core.Machine.Subst () in
+  let config =
+    host_config ~width:40 ~evaluator:Live_core.Machine.Compiled ~cache:true ()
+  in
+  let twin =
+    mk_session ~width:40 ~cache:true ~evaluator:Live_core.Machine.Compiled ()
+  in
+  let rng_s = Prng.create 21 and rng_t = Prng.create 21 in
+  drive subject rng_s 15;
+  drive twin rng_t 15;
+  let snapshot = Snapshot.to_string (Snapshot.of_session subject) in
+  with_server ~config "resume-cfg" @@ fun rpc srv ->
+  match rpc (Wire.Resume { snapshot }) with
+  | Wire.Attach { session; width; frame } ->
+      Alcotest.(check int) "the server's width" 40 width;
+      Alcotest.(check string) "the twin's frame"
+        (Wire.text_of_rows (Session.rows twin))
+        frame;
+      let s =
+        Option.get
+          (H.Registry.session (Live_net.Server.registry srv) session)
+      in
+      Alcotest.(check bool) "the server's evaluator" true
+        (Session.evaluator s = Live_core.Machine.Compiled);
+      Alcotest.(check bool) "the server's render cache" true
+        (Session.render_cache_stats s <> None);
+      drive s rng_s 15;
+      drive twin rng_t 15;
+      Alcotest.(check string) "the twin's observation"
+        (H.Registry.observe_session twin)
+        (H.Registry.observe_session s)
+  | f -> Alcotest.failf "expected Attach, got %s" (pp_host f)
+
+(* A Resume carrying the retired version-1 text (whose width was the
+   client's to choose, here -1) or no snapshot at all is answered with
+   Error 3, and the server keeps serving. *)
+let test_server_refuses_bad_resume () =
+  with_server "resume-v1" @@ fun rpc _ ->
+  List.iter
+    (fun (what, snapshot, names) ->
+      match rpc (Wire.Resume { snapshot }) with
+      | Wire.Error { code; msg } ->
+          Alcotest.(check int) what 3 code;
+          check_contains what msg names
+      | f -> Alcotest.failf "%s: expected Error 3, got %s" what (pp_host f))
+    [
+      ("version 1", Helpers.v1_snapshot_text (app 0), "version 1");
+      ("truncated", "(snapshot (version 2)", "");
+    ];
+  match rpc Wire.Stats with
+  | Wire.Metrics _ -> ()
+  | f -> Alcotest.failf "expected Metrics, got %s" (pp_host f)
 
 (* Deltas leave first dirtied, first sent: the Events of sessions 0, 1
    and 2, written in that order in one write, are answered 0, 1, 2 —
@@ -1054,8 +1202,14 @@ let suite =
       test_restore_invisible_subst;
     Alcotest.test_case "restore invisible (compiled+cache)" `Quick
       test_restore_invisible_compiled;
-    Alcotest.test_case "restore carries evaluator" `Quick
-      test_restore_carries_evaluator;
+    Alcotest.test_case "restore runs under the host's config" `Quick
+      test_restore_under_host_config;
+    Alcotest.test_case "snapshot refuses version 1 by name" `Quick
+      test_snapshot_refuses_v1;
+    Alcotest.test_case "snapshot holds only session state" `Quick
+      test_snapshot_state_only;
+    Alcotest.test_case "session age does not grow a session" `Quick
+      test_session_age_flat;
     Alcotest.test_case "snapshot save/load" `Quick test_snapshot_save_load;
     Alcotest.test_case "server e2e over a real socket" `Quick test_server_e2e;
     Alcotest.test_case "pipelined client is state-invariant" `Quick
@@ -1074,6 +1228,10 @@ let suite =
       test_conn_close_mid_frame;
     Alcotest.test_case "conn: rpc returns while its pump drives a server" `Quick
       test_conn_rpc_pumps_server;
+    Alcotest.test_case "a Resume attaches under the server's config" `Quick
+      test_resume_under_server_config;
+    Alcotest.test_case "a bad Resume is refused and the server serves on"
+      `Quick test_server_refuses_bad_resume;
     Alcotest.test_case "server answers Deltas first dirtied, first sent" `Quick
       test_server_delta_order;
     prop_host_net_oracle;

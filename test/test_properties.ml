@@ -345,14 +345,6 @@ let prop_layout_siblings_disjoint =
         root;
       !ok)
 
-let prop_layout_cache_transparent =
-  Helpers.qcheck ~count:100 "layout cache is observationally invisible"
-    gen_boxtree (fun tree ->
-      let plain = Live_ui.Render.screenshot ~width:40 tree in
-      let cache = Live_ui.Layout.create_cache () in
-      let fb, _ = Live_ui.Render.render_page ~cache ~width:40 tree in
-      String.equal plain (Live_ui.Framebuffer.to_text fb))
-
 let prop_hittest_consistent =
   Helpers.qcheck ~count:100 "nodes_at agrees with rect containment"
     gen_boxtree (fun tree ->
@@ -378,6 +370,5 @@ let suite =
     prop_compile_deterministic;
     prop_layout_containment;
     prop_layout_siblings_disjoint;
-    prop_layout_cache_transparent;
     prop_hittest_consistent;
   ]

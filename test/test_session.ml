@@ -1,5 +1,5 @@
-(** The interactive session: coordinate taps, back, updates, trace
-    recording. *)
+(** The interactive session: coordinate taps, back, updates, page
+    navigation, layout and frame reuse. *)
 
 open Live_runtime
 open Helpers
@@ -33,17 +33,6 @@ let test_tap_missing_handler () =
   | Session.Tapped -> Alcotest.fail "caption is not tappable");
   Alcotest.(check bool) "unchanged" true
     (contains (Session.screenshot s) "taps: 0")
-
-let test_trace_records_everything () =
-  let s = session_of ~width:20 Live_workloads.Counter.source in
-  ignore (ok_machine "tap" (Session.tap s ~x:2 ~y:1));
-  ignore (ok_machine "tap" (Session.tap s ~x:0 ~y:99));
-  ok_machine "back" (Session.back s);
-  Alcotest.(check int) "three interactions" 3 (Trace.length (Session.trace s));
-  match Session.trace s with
-  | [ Trace.Tap { x = 2; y = 1 }; Trace.Tap { x = 0; y = 99 }; Trace.Back ] ->
-      ()
-  | t -> Alcotest.failf "unexpected trace: %a" Trace.pp t
 
 let test_update_reports_fixup () =
   let s = session_of ~width:20 Live_workloads.Counter.source in
@@ -101,14 +90,32 @@ let test_plain_rows_painted_once () =
   Alcotest.(check bool) "a tap repaints" true
     (contains (String.concat "\n" (Array.to_list (Session.rows s))) "taps: 1")
 
+(* create and restore build a session through one path: restoring an
+   empty stack boots exactly as create does, under the settings given *)
+let test_restore_boots_like_create () =
+  let core = (ok_compile Live_workloads.Counter.source).core in
+  let created =
+    ok_machine "create" (Session.create ~width:20 ~cache:true core)
+  in
+  let restored =
+    ok_machine "restore"
+      (Session.restore ~width:20 ~cache:true ~store:Live_core.Store.empty
+         ~stack:[] core)
+  in
+  Alcotest.(check string) "same pixels" (Session.screenshot created)
+    (Session.screenshot restored);
+  Alcotest.(check int) "the given width" 20 (Session.width restored);
+  Alcotest.(check bool) "the given render cache" true
+    (Session.render_cache_stats restored <> None)
+
 let suite =
   [
     case "boot and screenshot" test_boot_and_screenshot;
     case "tap by coordinates" test_tap_by_coordinates;
     case "taps outside handlers do nothing" test_tap_missing_handler;
-    case "trace records all interactions" test_trace_records_everything;
     case "update reports the fixup" test_update_reports_fixup;
     case "plain sessions paint each display once" test_plain_rows_painted_once;
     case "page navigation" test_navigation_between_pages;
     case "layout caching per display" test_layout_cached_until_transition;
+    case "restore boots like create" test_restore_boots_like_create;
   ]
